@@ -9,7 +9,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test bench-smoke bench doc clippy
+.PHONY: build test bench-smoke bench ab doc clippy
 
 build:
 	$(CARGO) build --release --workspace
@@ -25,6 +25,11 @@ bench-smoke: build
 bench: build
 	$(CARGO) run --release -p rel-bench --bin bench_report -- \
 		$(if $(BASELINE),--baseline $(BASELINE)) $(if $(OUT),--out $(OUT))
+
+# A/B the repo benchmark (BENCHMARK.json) against a base revision:
+# make ab BASE=HEAD~1 WORKLOAD=txn_stream [PAIRS=10] — see scripts/ab_bench.sh.
+ab:
+	scripts/ab_bench.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --exclude rel-cli

@@ -86,11 +86,23 @@ pub struct EvalCtx<'a> {
 
 /// Key of a demand-evaluation memo entry: predicate and bound prefix.
 type DemandKey = (Name, Vec<Value>);
-/// A hash index from key values to matching rows — positions into the
-/// indexed relation's shared sorted storage rather than cloned tuples:
-/// building an index costs one key vector per row and an O(1) relation
-/// clone, never a tuple copy, and probes borrow rows straight from the
-/// shared slice.
+
+/// The rows starting with `key`: one contiguous run of the sorted
+/// storage, found by binary search. Rows of every arity ≥ `key.len()`
+/// qualify; a row equal to `key` itself sorts first in the run.
+fn prefix_run<'r>(rows: &'r [Tuple], key: &[Value]) -> &'r [Tuple] {
+    let start = rows.partition_point(|t| t.values() < key);
+    let len = rows[start..].partition_point(|t| t.starts_with(key));
+    &rows[start..start + len]
+}
+
+/// A hash index from key values to matching rows, for key positions that
+/// are *not* a prefix of the atom's arguments (a prefix is answered by
+/// [`prefix_run`] over the sorted rows, with nothing built or cached).
+/// Entries are positions into the indexed relation's shared sorted
+/// storage rather than cloned tuples: building an index costs one key
+/// vector per row and an O(1) relation clone, never a tuple copy, and
+/// probes borrow rows straight from the shared slice.
 pub(crate) struct TupleIndex {
     /// O(1) clone of the indexed relation (pins the shared row storage).
     rows: Relation,
@@ -323,35 +335,6 @@ impl SharedIndexCache {
         });
     }
 
-    /// Drop every index over any of the named relations that was built
-    /// against a generation other than the relation's *current* one in
-    /// `db`. [`crate::session::Session::transact`] calls this for the
-    /// relations a committed delta touched: their generations moved, so
-    /// pre-commit entries can never be served again (the generation check
-    /// in lookups guarantees that) — invalidating them eagerly keeps the
-    /// cache from carrying dead weight until a later materialize run
-    /// happens to prune it, while indexes already rebuilt at the
-    /// committed generation (by the transaction's own post-state
-    /// evaluation) stay warm for the next query.
-    pub fn invalidate_stale_relations<'n>(
-        &self,
-        names: impl IntoIterator<Item = &'n Name>,
-        db: &rel_core::Database,
-    ) {
-        let touched: std::collections::BTreeSet<&Name> = names.into_iter().collect();
-        if touched.is_empty() {
-            return;
-        }
-        self.write().retain(|(name, _, _), (built_gen, _)| {
-            !touched.contains(name)
-                || db.get(name).map(Relation::generation) == Some(*built_gen)
-        });
-        self.tries_write().retain(|(name, _), (built_gen, _)| {
-            !touched.contains(name)
-                || db.get(name).map(Relation::generation) == Some(*built_gen)
-        });
-    }
-
     /// The generations the cached indexes and tries over `name` were
     /// built from (diagnostics/tests).
     pub fn generations_for(&self, name: &str) -> Vec<u64> {
@@ -394,79 +377,16 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Instrumentation: dispatch-point counters. Each is one predictable
-    // branch on the process-wide gate plus an `Option` check for the
-    // per-query sink — a no-op when both are off.
-    // ------------------------------------------------------------------
-
+    /// Instrumentation at a dispatch point: tick the registry counter
+    /// (behind the process-wide gate) and the per-query sink, if any — one
+    /// predictable branch each, a no-op when both are off.
     #[inline]
-    fn note_fused_rule(&self) {
+    fn note(&self, counter: fn(&metrics::Registry) -> &metrics::Counter, tick: fn(&ProfileSink)) {
         if metrics::enabled() {
-            metrics::registry().fused_rules.incr();
+            counter(metrics::registry()).incr();
         }
         if let Some(sink) = &self.profile {
-            sink.note_fused_rule();
-        }
-    }
-
-    #[inline]
-    fn note_env_rule(&self) {
-        if metrics::enabled() {
-            metrics::registry().env_rules.incr();
-        }
-        if let Some(sink) = &self.profile {
-            sink.note_env_rule();
-        }
-    }
-
-    #[inline]
-    fn note_binary_join(&self) {
-        if metrics::enabled() {
-            metrics::registry().binary_join_dispatches.incr();
-        }
-        if let Some(sink) = &self.profile {
-            sink.note_binary_join();
-        }
-    }
-
-    #[inline]
-    fn note_wcoj_dispatch(&self) {
-        if metrics::enabled() {
-            metrics::registry().wcoj_dispatches.incr();
-        }
-        if let Some(sink) = &self.profile {
-            sink.note_wcoj_join();
-        }
-    }
-
-    #[inline]
-    fn note_index_lookup(&self, built: bool) {
-        if metrics::enabled() {
-            let r = metrics::registry();
-            if built { r.index_builds.incr() } else { r.index_reuses.incr() }
-        }
-        if let Some(sink) = &self.profile {
-            if built {
-                sink.note_index_build();
-            } else {
-                sink.note_index_reuse();
-            }
-        }
-    }
-
-    #[inline]
-    fn note_trie_lookup(&self, built: bool) {
-        if metrics::enabled() {
-            let r = metrics::registry();
-            if built { r.trie_builds.incr() } else { r.trie_reuses.incr() }
-        }
-        if let Some(sink) = &self.profile {
-            if built {
-                sink.note_trie_build();
-            } else {
-                sink.note_trie_reuse();
-            }
+            tick(sink);
         }
     }
 
@@ -524,10 +444,10 @@ impl<'a> EvalCtx<'a> {
             }
             RExpr::OfFormula(f) => {
                 if self.try_fused_formula(rule, f, &seed, out) {
-                    self.note_fused_rule();
+                    self.note(|r| &r.fused_rules, ProfileSink::note_fused_rule);
                     return Ok(());
                 }
-                self.note_env_rule();
+                self.note(|r| &r.env_rules, ProfileSink::note_env_rule);
                 gen.push((**f).clone());
                 let envs = self.eval_formula(&Formula::conj(gen), vec![seed])?;
                 for env in envs {
@@ -538,7 +458,7 @@ impl<'a> EvalCtx<'a> {
                 Ok(())
             }
             RExpr::Where { body: inner, cond } => {
-                self.note_env_rule();
+                self.note(|r| &r.env_rules, ProfileSink::note_env_rule);
                 gen.push((**cond).clone());
                 let envs = self.eval_formula(&Formula::conj(gen), vec![seed])?;
                 for env in envs {
@@ -550,10 +470,10 @@ impl<'a> EvalCtx<'a> {
             }
             other => {
                 if let Some(res) = self.try_fused_open(rule, other, &seed, out) {
-                    self.note_fused_rule();
+                    self.note(|r| &r.fused_rules, ProfileSink::note_fused_rule);
                     return res;
                 }
-                self.note_env_rule();
+                self.note(|r| &r.env_rules, ProfileSink::note_env_rule);
                 let envs = self.eval_formula(&Formula::conj(gen), vec![seed])?;
                 for env in envs {
                     for (env2, rel) in self.eval_open(other, &env)? {
@@ -1102,9 +1022,24 @@ impl<'a> EvalCtx<'a> {
                 Ok(out)
             }
             Formula::Not(inner) => {
+                // A fully bound atom over stored rows is one binary search
+                // per environment: the row equal to the key, if present,
+                // heads the run of rows starting with it.
+                let stored = self.bound_stored_atom(inner, &envs);
+                let mut key = Vec::new();
                 let mut out = Vec::with_capacity(envs.len());
                 for env in envs {
-                    if self.eval_formula(inner, vec![env.clone()])?.is_empty() {
+                    let holds = match &stored {
+                        Some((rel, args)) => {
+                            key.clear();
+                            key.extend(args.iter().filter_map(|t| env.term_value(t)));
+                            prefix_run(rel.as_slice(), &key)
+                                .first()
+                                .is_some_and(|t| t.arity() == key.len())
+                        }
+                        None => !self.eval_formula(inner, vec![env.clone()])?.is_empty(),
+                    };
+                    if !holds {
                         out.push(env);
                     }
                 }
@@ -1256,7 +1191,7 @@ impl<'a> EvalCtx<'a> {
             }
             let f = pending.remove(idx);
             if cost > 0 && matches!(f, Formula::Atom(_)) {
-                self.note_binary_join();
+                self.note(|r| &r.binary_join_dispatches, ProfileSink::note_binary_join);
             }
             envs = self.eval_formula(f, envs)?;
         }
@@ -1462,7 +1397,7 @@ impl<'a> EvalCtx<'a> {
             tries.push((trie, vars));
         }
         self.indexes.note_wcoj_join();
-        self.note_wcoj_dispatch();
+        self.note(|r| &r.wcoj_dispatches, ProfileSink::note_wcoj_join);
         // 4. Constant pins are shared across the batch; per-environment
         // pins add one singleton atom per variable the environment binds.
         // The trie + constant part of the atom list is identical for
@@ -1822,6 +1757,24 @@ impl<'a> EvalCtx<'a> {
     // Atom execution
     // ------------------------------------------------------------------
 
+    /// If `f` is an atom over a stored relation (no builtin, no demand
+    /// predicate, no tuple variable) whose arguments every environment of
+    /// the batch grounds, the relation and the arguments.
+    fn bound_stored_atom<'x>(&self, f: &'x Formula, envs: &[Env]) -> Option<(Relation, &'x [Term])> {
+        let Formula::Atom(a) = f else { return None };
+        let grounded = |env: &Env| {
+            a.args.iter().all(|t| match t {
+                Term::Const(_) => true,
+                Term::Var(v) => env.value(*v).is_some(),
+                Term::TupleVar(_) => false,
+            })
+        };
+        (bsig::lookup(&a.pred).is_none()
+            && self.is_demand(&a.pred).is_none()
+            && envs.iter().all(grounded))
+        .then(|| (self.relation(&a.pred), a.args.as_slice()))
+    }
+
     fn exec_atom(&self, pred: &Name, args: &[Term], envs: Vec<Env>) -> RelResult<Vec<Env>> {
         // Builtins.
         if bsig::lookup(pred).is_some() {
@@ -1881,8 +1834,11 @@ impl<'a> EvalCtx<'a> {
             }
             return Ok(out);
         }
-        // Materialized relation: index on bound positions when the atom is
-        // tuple-variable-free.
+        // Materialized relation, tuple-variable-free atom: the bound
+        // positions select the candidate rows — a binary-searched run of
+        // the sorted rows when they are a prefix of the arguments (point
+        // lookups, fully bound filters, plain scans), a hash index
+        // otherwise.
         let has_tuple_vars = args.iter().any(Term::is_tuple_var);
         if !has_tuple_vars && !envs.is_empty() {
             let bound = batch_bound(&envs);
@@ -1896,35 +1852,24 @@ impl<'a> EvalCtx<'a> {
                 })
                 .map(|(i, _)| i)
                 .collect();
-            let index = self.index_for(pred, &key_positions, args.len());
+            let is_prefix = key_positions.iter().copied().eq(0..key_positions.len());
+            let index =
+                (!is_prefix).then(|| self.index_for(pred, &key_positions, args.len()));
+            let rel = self.relation(pred);
             let mut out = Vec::new();
+            let mut key = Vec::with_capacity(key_positions.len());
             for env in envs {
-                let mut key = Vec::with_capacity(key_positions.len());
-                let mut ok = true;
-                for &i in &key_positions {
-                    match env.term_value(&args[i]) {
-                        Some(v) => key.push(v),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok {
+                key.clear();
+                key.extend(key_positions.iter().map_while(|&i| env.term_value(&args[i])));
+                let mut unify = |t: &Tuple| out.extend(self.unify_atom(args, t, &env));
+                if key.len() < key_positions.len() {
                     // This env lacks a binding the batch generally has —
                     // fall back to a scan for it.
-                    let rel = self.relation(pred);
-                    for t in rel.iter() {
-                        if let Some(env2) = self.unify_atom(args, t, &env) {
-                            out.push(env2);
-                        }
-                    }
-                    continue;
-                }
-                for t in index.get(&key) {
-                    if let Some(env2) = self.unify_atom(args, t, &env) {
-                        out.push(env2);
-                    }
+                    rel.iter().for_each(&mut unify);
+                } else if let Some(index) = &index {
+                    index.get(&key).for_each(&mut unify);
+                } else {
+                    prefix_run(rel.as_slice(), &key).iter().for_each(&mut unify);
                 }
             }
             return Ok(out);
@@ -1957,11 +1902,11 @@ impl<'a> EvalCtx<'a> {
             // A generation-stale entry falls through to the rebuild below
             // and is counted as a build (miss), never a reuse.
             if *built_gen == generation {
-                self.note_index_lookup(false);
+                self.note(|r| &r.index_reuses, ProfileSink::note_index_reuse);
                 return Arc::clone(hit);
             }
         }
-        self.note_index_lookup(true);
+        self.note(|r| &r.index_builds, ProfileSink::note_index_build);
         let rows = rel.cloned().unwrap_or_default();
         let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
         for (pos, t) in rows.as_slice().iter().enumerate() {
@@ -1993,11 +1938,11 @@ impl<'a> EvalCtx<'a> {
         if let Some((built_gen, hit)) = self.indexes.tries_read().get(&cache_key) {
             // Same stale-rebuild-counts-as-miss rule as `index_for`.
             if *built_gen == generation {
-                self.note_trie_lookup(false);
+                self.note(|r| &r.trie_reuses, ProfileSink::note_trie_reuse);
                 return Arc::clone(hit);
             }
         }
-        self.note_trie_lookup(true);
+        self.note(|r| &r.trie_builds, ProfileSink::note_trie_build);
         let trie = Arc::new(match rel {
             Some(r) => SortedRel::permuted(r, perm),
             None => SortedRel::new(Vec::new()),
@@ -2955,32 +2900,36 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_stale_relations_is_generation_aware() {
+    fn prefix_positions_probe_sorted_rows_and_build_no_index() {
         let (module, rels) = ctx_fixture();
         let cache = SharedIndexCache::default();
         let cx = EvalCtx::with_cache(&module, &rels, cache.clone());
         let e = rel_core::name("E");
-        cx.index_for(&e, &[0], 2);
-        let built_gen = rels[&e].generation();
-        assert_eq!(cache.generations_for("E"), vec![built_gen]);
-
-        // Touched, but the current generation still matches: entry kept.
-        let mut db = rel_core::Database::new();
-        db.set("E", rels[&e].clone());
-        cache.invalidate_stale_relations([&e], &db);
-        assert_eq!(cache.generations_for("E"), vec![built_gen]);
-
-        // Untouched name: entry kept even after E's generation moves.
-        let mut moved = rels[&e].clone();
-        moved.insert(tuple![9, 9]);
-        db.set("E", moved);
-        let f = rel_core::name("F");
-        cache.invalidate_stale_relations([&f], &db);
-        assert_eq!(cache.generations_for("E"), vec![built_gen]);
-
-        // Touched with a moved generation: entry dropped.
-        cache.invalidate_stale_relations([&e], &db);
-        assert!(cache.generations_for("E").is_empty());
+        let atom = |args: Vec<Term>| Formula::Atom(Atom { pred: e.clone(), args });
+        let rows = rels[&e].as_slice();
+        // Scan, first-column lookup, full key: all prefixes of (x, y).
+        for args in [
+            vec![Term::Var(0), Term::Var(1)],
+            vec![Term::Const(Value::int(1)), Term::Var(1)],
+            vec![Term::Const(Value::int(1)), Term::Const(Value::int(2))],
+        ] {
+            let key: Vec<Value> = args
+                .iter()
+                .map_while(|t| match t {
+                    Term::Const(c) => Some(c.clone()),
+                    _ => None,
+                })
+                .collect();
+            let envs = cx.eval_formula(&atom(args), vec![Env::new(2)]).unwrap();
+            assert_eq!(envs.len(), prefix_run(rows, &key).len());
+            assert_eq!(envs.len(), rows.iter().filter(|t| t.starts_with(&key)).count());
+        }
+        assert!(cache.is_empty(), "prefix probes must not build or cache anything");
+        // A key on the second column alone is not a prefix: hash index.
+        let by_target = atom(vec![Term::Var(0), Term::Const(Value::int(2))]);
+        let envs = cx.eval_formula(&by_target, vec![Env::new(2)]).unwrap();
+        assert_eq!(envs.len(), rows.iter().filter(|t| t.values()[1] == Value::int(2)).count());
+        assert_eq!(cache.generations_for("E"), vec![rels[&e].generation()]);
     }
 
     #[test]
@@ -3108,11 +3057,9 @@ mod tests {
         cx.eval_formula(&triangle_conj(), vec![Env::new(3)]).unwrap();
         assert_eq!(cache.len(), after_first);
         // A generation bump invalidates via the usual path.
-        let mut db = rel_core::Database::new();
-        let mut moved = rels[&rel_core::name("E")].clone();
-        moved.insert(tuple![7, 8]);
-        db.set("E", moved);
-        cache.invalidate_stale_relations([&rel_core::name("E")], &db);
+        let mut moved = rels.clone();
+        moved.get_mut("E").expect("fixture relation").insert(tuple![7, 8]);
+        cache.prune_stale(&moved);
         assert!(cache.generations_for("E").is_empty());
     }
 

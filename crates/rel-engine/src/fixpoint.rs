@@ -110,7 +110,10 @@ pub fn materialize_with_threads(
     // no tuple is copied until somebody mutates a base relation.
     let mut rels: BTreeMap<Name, Relation> =
         db.iter().map(|(n, r)| (n.clone(), r.clone())).collect();
-    let workers = threads.min(module.strata.len());
+    // Demand-only strata are no-ops here, so they earn no worker: a run
+    // with at most one stratum to evaluate stays on the calling thread
+    // (spawning costs more than a microsecond query).
+    let workers = threads.min(module.strata.iter().filter(|s| materializes(module, s)).count());
     // A hand-rolled module without the condensation DAG (stratum_deps
     // out of sync with strata) cannot be scheduled safely — fall back to
     // the sequential dependency-order walk. Profiled runs also go
@@ -120,6 +123,9 @@ pub fn materialize_with_threads(
         && module.stratum_deps.len() == module.strata.len()
         && cache.profile().is_none()
     {
+        if crate::metrics::enabled() {
+            crate::metrics::registry().scheduler_spawns.incr();
+        }
         materialize_parallel(module, &mut rels, &cache, workers)?;
     } else {
         for stratum in &module.strata {
@@ -165,16 +171,7 @@ fn eval_stratum_inner(
     stratum: &Stratum,
     cache: &SharedIndexCache,
 ) -> RelResult<()> {
-    let mats: Vec<&Name> = stratum
-        .preds
-        .iter()
-        .filter(|p| {
-            matches!(
-                module.pred_info.get(*p).map(|i| &i.mode),
-                Some(EvalMode::Materialize) | None
-            )
-        })
-        .collect();
+    let mats: Vec<&Name> = materialized_preds(module, stratum).collect();
     if mats.is_empty() {
         return Ok(()); // demand-only stratum: evaluated lazily at call sites
     }
@@ -198,6 +195,19 @@ fn eval_stratum_inner(
     } else {
         pfp(module, rels, &stratum.preds, cache)
     }
+}
+
+/// The stratum's predicates that are materialized bottom-up (the others
+/// are demand-driven and evaluated at their call sites).
+fn materialized_preds<'m>(module: &'m Module, stratum: &'m Stratum) -> impl Iterator<Item = &'m Name> {
+    stratum.preds.iter().filter(|p| {
+        matches!(module.pred_info.get(*p).map(|i| &i.mode), Some(EvalMode::Materialize) | None)
+    })
+}
+
+/// Does evaluating the stratum do any work (is it not demand-only)?
+pub(crate) fn materializes(module: &Module, stratum: &Stratum) -> bool {
+    materialized_preds(module, stratum).next().is_some()
 }
 
 /// Shared scheduler state: the growing relation map plus the DAG
@@ -648,26 +658,10 @@ pub fn materialize_naive(module: &Module, db: &Database) -> RelResult<BTreeMap<N
     let mut rels: BTreeMap<Name, Relation> =
         db.iter().map(|(n, r)| (n.clone(), r.clone())).collect();
     for stratum in &module.strata {
-        let mats: Vec<&Name> = stratum
-            .preds
-            .iter()
-            .filter(|p| {
-                matches!(
-                    module.pred_info.get(*p).map(|i| &i.mode),
-                    Some(EvalMode::Materialize) | None
-                )
-            })
-            .collect();
-        if mats.is_empty() {
-            continue;
-        }
+        let Some(first) = materialized_preds(module, stratum).next() else { continue };
         if !stratum.recursive {
-            let p = mats[0];
-            let derived = {
-                let cx = EvalCtx::new(module, &rels);
-                eval_pred_once(&cx, module, p)?
-            };
-            rels.entry(p.clone()).or_default().absorb(&derived);
+            let derived = eval_pred_once(&EvalCtx::new(module, &rels), module, first)?;
+            rels.entry(first.clone()).or_default().absorb(&derived);
             continue;
         }
         if !stratum.monotone {

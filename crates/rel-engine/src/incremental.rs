@@ -1,77 +1,65 @@
-//! Incremental view maintenance: delta propagation under base-table
-//! change.
+//! Incremental view maintenance: delta propagation under input change.
 //!
-//! The paper's system evaluates transactions *incrementally* — derived
-//! relations are maintained under base-relation change instead of being
-//! recomputed from scratch (§6). This module is that evaluation mode for
-//! our engine: given the **pre-state fixpoint** of a module (the full
-//! EDB ∪ IDB relation state of a previous materialization, captured in a
-//! [`PreState`]) and a database that has since changed in a *known* set
-//! of base relations, [`materialize_incremental`] re-derives only what
-//! the change can actually affect and produces relation state
-//! **byte-identical** to a from-scratch [`crate::fixpoint::materialize`]
-//! run over the new database.
+//! The paper's system maintains derived relations under base-relation
+//! change instead of recomputing them (§6). Here that is one function,
+//! [`materialize_incremental`]: given the **pre-state fixpoint** of a
+//! module (the full input ∪ derived relation state of a previous
+//! materialization, captured in a [`PreState`]) and a database whose
+//! relations have since changed, it re-derives only what the change can
+//! affect and produces relation state **byte-identical** to a
+//! from-scratch [`crate::fixpoint::materialize`] run over the new
+//! database.
 //!
-//! # The cone / delta-seeding model
+//! The library state is part of the database, and modules evaluate on
+//! top of it: a commit advances the session's one library state
+//! ([`crate::library`]) through this function, once, and every module
+//! compiled against the library maintains only its *own* strata — through
+//! the session's per-module fixpoint cache and this same function, to
+//! which a library predicate is just another input whose generation is
+//! compared. One maintenance implementation serves both.
 //!
-//! Which base relations changed is detected structurally, not by diffing:
-//! every [`rel_core::Relation`] carries a globally unique *generation*
-//! that moves exactly when its tuple set does, so comparing the
-//! generations recorded in the [`PreState`] against the new database
-//! yields the touched set in O(#relations). From the touched set,
-//! [`rel_sema::ir::Module::dependent_cone`] — per-stratum read sets
-//! joined with the stratum dependency DAG — gives the *dependent cone*:
-//! every stratum whose result could differ. The engine then walks the
-//! strata in dependency order and treats each one in the cheapest sound
-//! way:
+//! # The delta-seeding model
 //!
-//! * **Outside the cone** — the result cannot have changed: the
-//!   pre-state relation is reused with an O(1) copy-on-write pointer
-//!   bump. No rule is evaluated.
-//! * **In the cone, but no input actually changed** — the cone is an
-//!   over-approximation (an upstream stratum may re-derive exactly its
-//!   old value), so each in-cone stratum first *value-compares* its
-//!   inputs against the pre-state (cheap: generation, then length, then
-//!   cached fingerprint, before any element-wise walk) and reuses the
-//!   pre-state result when nothing moved.
+//! Which inputs changed is detected structurally, not by diffing: every
+//! [`rel_core::Relation`] carries a globally unique *generation* that
+//! moves exactly when its tuple set does, so comparing the generations
+//! recorded in the [`PreState`] against the new database yields the
+//! touched set in O(#relations). The engine then walks the strata in
+//! dependency order and treats each one in the cheapest sound way:
+//!
+//! * **No input changed** — each stratum first *value-compares* its
+//!   inputs against the pre-state (generation, then length, then cached
+//!   fingerprint, before any element-wise walk; an untouched base relation
+//!   or a reused upstream result is settled by its generation) and takes
+//!   the pre-state result over with an O(1) copy-on-write pointer bump
+//!   when nothing moved. No rule is evaluated.
 //! * **Monotone recursive strata with grown inputs** — *delta-seeded
 //!   semi-naive restart*. The SCC relations are seeded with their
-//!   pre-state fixpoint (the "current" overlay); for every changed input
-//!   `I` the engine installs `ΔI = new(I) ∖ old(I)` and evaluates, for
-//!   each rule, one variant per occurrence of a changed input with that
-//!   occurrence reading `ΔI` (the new/full formulation — other
-//!   occurrences read the full new value). The resulting novel tuples
-//!   become the seed Δ of the ordinary semi-naive loop, which then runs
-//!   to fixpoint exactly as a from-scratch evaluation would — but
-//!   starting from the pre-state instead of from nothing. This is sound
-//!   precisely when every changed input is read only *positively* and
-//!   only **grew**: monotonicity guarantees the pre-state fixpoint is
-//!   contained in the new one, and the least fixpoint above a subset of
-//!   the answer is the answer.
-//! * **Everything else in the cone** — non-monotone strata (negation,
-//!   aggregation, partial-fixpoint iteration), non-recursive strata
-//!   (already a single pass), strata whose own EDB seed was touched, and
-//!   monotone strata facing *deletions* or changed negatively-read
+//!   pre-state fixpoint; for every changed input `I` the engine installs
+//!   `ΔI = new(I) ∖ old(I)` and evaluates, for each rule, one variant per
+//!   occurrence of a changed input with that occurrence reading `ΔI`. The
+//!   novel tuples become the seed Δ of the ordinary semi-naive loop, which
+//!   runs to fixpoint exactly as a from-scratch evaluation would — but
+//!   starting from the pre-state instead of from nothing. Sound precisely
+//!   when every changed input is read only *positively* and only **grew**.
+//! * **Everything else** — non-monotone strata, non-recursive
+//!   strata (already a single pass), strata whose own seed was touched,
+//!   and monotone strata facing *deletions* or changed negatively-read
 //!   inputs are recomputed, but only that stratum, from upstream results
-//!   that were themselves reused or incrementally maintained. Deletion
-//!   deltas through recursion (counting / DRed) are future work — the
-//!   fallback keeps them correct today.
+//!   that were themselves reused or maintained. A recomputation that
+//!   lands on the old value keeps the old relation, generation and all, so
+//!   nothing downstream — no later stratum, no module on top, no watch —
+//!   sees a change. Deletion deltas through recursion (counting / DRed)
+//!   are future work.
 //!
 //! Because every path either reuses a provably unchanged value or re-runs
 //! the stock evaluator over correct inputs, the final relation state —
 //! contents *and* iteration order, since relations are sorted sets — is
 //! byte-identical to full re-materialization (the randomized
-//! `incremental_equivalence` suite drives inserts *and* deletes through
-//! both paths and compares flattened states).
-//!
-//! The subsystem is wired into [`crate::Session`] (a bounded per-module
-//! fixpoint cache makes repeated queries and `Session::transact` calls
-//! incremental automatically) and [`crate::Transaction::commit`] (the
-//! commit-time constraint re-check re-verifies only constraints in the
-//! cone, re-deriving their inputs incrementally). Setting the environment
-//! variable `REL_INCREMENTAL=0` (or using
-//! [`crate::Session::set_incremental`]) falls back to full
-//! re-materialization everywhere.
+//! `incremental_equivalence` suite drives inserts, deletes, aborts and
+//! library changes through both and compares row by row).
+//! `REL_INCREMENTAL=0` / [`crate::Session::set_incremental`] fall back to
+//! full re-materialization everywhere.
 
 use crate::env::Env;
 use crate::eval::{EvalCtx, SharedIndexCache};
@@ -79,7 +67,7 @@ use crate::fixpoint::{
     count_scc_refs, delta_name, delta_variant, eval_stratum, materialize_with_cache,
     scc_delta_variants, semi_naive_loop,
 };
-use crate::profile::{StratumAction, StratumProfile};
+use crate::profile::{FixpointOutcome, StratumAction, StratumProfile};
 use rel_core::{Database, Name, RelResult, Relation};
 use rel_sema::ir::{EvalMode, Module, Stratum};
 use std::collections::{BTreeMap, BTreeSet};
@@ -163,6 +151,28 @@ pub struct IncrementalStats {
     pub recomputed: usize,
 }
 
+/// Bring a module's materialization up to date with `db`, the cheapest
+/// sound way: `pre` itself when the generations it recorded still match,
+/// incremental maintenance from it when `incremental` allows, a full
+/// materialization otherwise — the one decision behind the session's
+/// library state and its per-module fixpoint cache alike.
+pub(crate) fn advance(
+    module: &Module,
+    pre: Option<&PreState>,
+    incremental: bool,
+    db: &Database,
+    cache: &SharedIndexCache,
+) -> RelResult<(BTreeMap<Name, Relation>, FixpointOutcome)> {
+    Ok(match pre {
+        Some(pre) if pre.touched_in(db).is_empty() => (pre.state.clone(), FixpointOutcome::CacheReuse),
+        Some(pre) if incremental => {
+            let (rels, stats) = materialize_incremental_with_stats(module, pre, db, cache.clone())?;
+            (rels, FixpointOutcome::Incremental(stats))
+        }
+        _ => (materialize_with_cache(module, db, cache.clone())?, FixpointOutcome::Full),
+    })
+}
+
 /// [`materialize_incremental_with_stats`] without the stats.
 pub fn materialize_incremental(
     module: &Module,
@@ -192,42 +202,18 @@ pub fn materialize_incremental_with_stats(
         return Ok((rels, stats));
     }
     let touched = pre.touched_in(db);
-    let cone: BTreeSet<usize> = module.dependent_cone(&touched).into_iter().collect();
 
     // Seed exactly like a full run: every base relation, O(1) clones.
     let mut rels: BTreeMap<Name, Relation> =
         db.iter().map(|(name, r)| (name.clone(), r.clone())).collect();
     let mut stats = IncrementalStats::default();
 
-    // Walk the strata in dependency order: out-of-cone results are the
-    // pre-state's (O(1) pointer bumps), in-cone strata are maintained.
-    // An out-of-cone stratum whose predicates the pre-state does not
-    // cover (a `PreState` captured from a *different* module) cannot be
-    // reused — recompute it, keeping the byte-identical contract even
-    // for that misuse.
-    let sink = cache.profile();
-    for (i, stratum) in module.strata.iter().enumerate() {
-        if cone.contains(&i) {
-            maintain_stratum(module, &mut rels, i, pre, &touched, &cone, &cache, &mut stats)?;
-        } else if pre_covers(module, pre, stratum) {
-            for p in &stratum.preds {
-                if let Some(r) = pre.state.get(p) {
-                    rels.insert(p.clone(), r.clone());
-                }
-            }
-            stats.reused += 1;
-            if let Some(sink) = &sink {
-                sink.push_stratum(reused_record(stratum));
-            }
-        } else {
-            // `eval_stratum` pushes an "evaluated" record when profiling;
-            // relabel it with the incremental classification.
-            eval_stratum(module, &mut rels, stratum, &cache)?;
-            stats.recomputed += 1;
-            if let Some(sink) = &sink {
-                sink.relabel_last(StratumAction::Recomputed);
-            }
-        }
+    // Walk the strata in dependency order, noting which ones could not
+    // simply take over the pre-state's result.
+    let mut moved = vec![false; n];
+    for idx in 0..n {
+        moved[idx] =
+            maintain_stratum(module, &mut rels, idx, pre, &touched, &moved, &cache, &mut stats)?;
     }
 
     cache.prune_stale(&rels);
@@ -271,8 +257,9 @@ fn pre_covers(module: &Module, pre: &PreState, stratum: &Stratum) -> bool {
     })
 }
 
-/// Bring one in-cone stratum up to date against `rels` (which already
-/// holds the new base relations and every earlier stratum's result).
+/// Bring one stratum up to date against `rels` (which already holds the
+/// new base relations and every earlier stratum's result). `false` when
+/// the pre-state's result was reused, `true` when it was maintained.
 #[allow(clippy::too_many_arguments)]
 fn maintain_stratum(
     module: &Module,
@@ -280,10 +267,10 @@ fn maintain_stratum(
     idx: usize,
     pre: &PreState,
     touched: &BTreeSet<Name>,
-    cone: &BTreeSet<usize>,
+    moved: &[bool],
     cache: &SharedIndexCache,
     stats: &mut IncrementalStats,
-) -> RelResult<()> {
+) -> RelResult<bool> {
     let stratum: &Stratum = &module.strata[idx];
     let reads = &module.stratum_reads[idx];
     let pred_set: BTreeSet<&Name> = stratum.preds.iter().collect();
@@ -294,12 +281,14 @@ fn maintain_stratum(
     let own_touched = stratum.preds.iter().any(|p| touched.contains(p));
 
     // A reusable pre-state must actually cover the stratum's materialized
-    // predicates (it always does when captured from this module).
+    // predicates. It always does when captured from this module; one
+    // captured from a *different* module makes the stratum recompute,
+    // which keeps the byte-identical contract even for that misuse.
     let pre_complete = pre_covers(module, pre, stratum);
 
     // Diff this stratum's inputs against the pre-state. Demand-driven
-    // inputs are not materialized in `rels`; if such an input's stratum
-    // sits in the cone its call-time value may differ in ways we cannot
+    // inputs are not materialized in `rels`; if such an input's (earlier)
+    // stratum moved, its call-time value may differ in ways we cannot
     // diff, which blocks both reuse and delta seeding.
     let mut demand_blocked = false;
     let mut changed: BTreeMap<&Name, (Relation, Relation)> = BTreeMap::new();
@@ -309,7 +298,7 @@ fn maintain_stratum(
         }
         if let Some(info) = module.pred_info.get(input) {
             if matches!(info.mode, EvalMode::Demand { .. }) {
-                demand_blocked |= cone.contains(&info.stratum);
+                demand_blocked |= moved[info.stratum];
                 continue;
             }
         }
@@ -334,7 +323,7 @@ fn maintain_stratum(
             if let Some(sink) = &sink {
                 sink.push_stratum(reused_record(stratum));
             }
-            return Ok(());
+            return Ok(false);
         }
         if stratum.recursive && stratum.monotone {
             // Delta-seeded restart applies when every changed input is
@@ -368,19 +357,26 @@ fn maintain_stratum(
                         counts: sink.counts().since(&before),
                     });
                 }
-                return Ok(());
+                return Ok(true);
             }
         }
     }
 
     // Recompute just this stratum from its current (correct) inputs.
-    // (`eval_stratum` pushes an "evaluated" record when profiling.)
+    // (`eval_stratum` pushes an "evaluated" record when profiling.) A
+    // recomputation that lands on the old value keeps the old relation —
+    // and its generation — so nothing downstream sees a change.
     eval_stratum(module, rels, stratum, cache)?;
+    for p in &stratum.preds {
+        if let Some(old) = pre.state.get(p).filter(|old| rels.get(p) == Some(old)) {
+            rels.insert(p.clone(), old.clone());
+        }
+    }
     stats.recomputed += 1;
     if let Some(sink) = &sink {
         sink.relabel_last(StratumAction::Recomputed);
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Restart a monotone recursive stratum's semi-naive fixpoint from the

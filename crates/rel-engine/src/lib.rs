@@ -5,9 +5,14 @@
 //!
 //! ## Client API
 //!
-//! A [`Session`] owns a database plus installed library source. The
-//! intended shape of a client interaction is *prepare → execute → typed
-//! rows*, with writes staged through a transaction handle:
+//! A [`Session`] owns a database plus installed library source — and,
+//! because the library's derived relations and constraints belong to the
+//! database (paper §3.4–3.5, §6), one *library state* next to it: the
+//! library materialized once per database state and advanced
+//! incrementally by each commit. Queries, prepared executes, transaction
+//! steps and watches all evaluate only their own strata on top of that
+//! shared state. The intended shape of a client interaction is *prepare →
+//! execute → typed rows*, with writes staged through a transaction handle:
 //!
 //! ```
 //! use rel_core::database::figure1_database;
@@ -51,9 +56,9 @@
 //!   candidate snapshot: staged `run`/prepared steps plus direct
 //!   `stage_insert`/`stage_delete`, constraint checking on `commit()`,
 //!   free `abort()`;
-//! * [`session`] — the session itself: database + libraries + module
-//!   cache + shared index cache; `Session` is `Send + Sync` and serves
-//!   queries from many threads;
+//! * [`session`] — the session itself: database + libraries + library
+//!   state + module cache + shared index cache; `Session` is `Send +
+//!   Sync` and serves queries from many threads;
 //! * [`config`] — [`EngineConfig`]: every engine switch (incremental,
 //!   WCOJ, columnar, metrics, watch buffer, durability) as one builder;
 //!   [`EngineConfig::from_env`] resolves the whole `REL_*` table below in
@@ -69,21 +74,28 @@
 //! * [`eval`] — formula evaluation over environment batches with greedy
 //!   sideways-information-passing, open expression evaluation (grouped
 //!   aggregation, generator `where`), tuple-variable matching,
-//!   demand-driven (tabled) predicate evaluation, and a generation-keyed
-//!   hash-index cache ([`eval::SharedIndexCache`]) that survives across
-//!   fixpoint iterations and session queries;
+//!   demand-driven (tabled) predicate evaluation; an atom whose bound
+//!   positions are a prefix of its arguments binary-searches the sorted
+//!   rows, any other goes through a generation-keyed hash-index cache
+//!   ([`eval::SharedIndexCache`]) that survives across fixpoint
+//!   iterations and session queries;
 //! * [`fixpoint`] — stratum materialization: semi-naive for monotone
 //!   recursion, partial-fixpoint iteration for Rel's non-stratified
 //!   programs (Addendum A); zero-copy over the CoW relations of
 //!   `rel-core`; a parallel scheduler walks the stratum DAG with scoped
 //!   worker threads (`REL_EVAL_THREADS` pins the worker count);
+//! * [`library`] — the installed library as part of the database: the
+//!   one maintained library state (derived relations plus the verdict of
+//!   the library's constraints) and the split of every compiled module
+//!   into what that state answers and what is the module's own;
 //! * [`incremental`] — incremental view maintenance: given a captured
 //!   pre-state fixpoint ([`PreState`]) and the generation-diffed set of
-//!   changed base relations, re-derives only the dependent cone —
-//!   pointer-bump reuse outside it, delta-seeded semi-naive restart for
-//!   monotone recursion inside it. Drives `Session` evaluation and the
-//!   commit-time constraint re-check; `REL_INCREMENTAL=0` falls back to
-//!   full re-materialization;
+//!   changed inputs, re-derives only the dependent cone — pointer-bump
+//!   reuse outside it, delta-seeded semi-naive restart for monotone
+//!   recursion inside it. The one maintenance implementation: it advances
+//!   the session's library state at commit and each module's own strata
+//!   on top of it; `REL_INCREMENTAL=0` falls back to full
+//!   re-materialization;
 //! * [`builtins`] — implementations of the infinite built-in relations
 //!   with invertible modes (`add(x, 5, z)` solves for `x`);
 //! * [`leapfrog`] — the leapfrog-triejoin worst-case-optimal join kernel
@@ -126,7 +138,7 @@
 //! | Variable | Values | Default | Effect |
 //! |----------|--------|---------|--------|
 //! | `REL_EVAL_THREADS` | positive integer | # cores (≤ 8) | Worker threads per fixpoint run ([`eval_threads`]); `1` is fully sequential. |
-//! | `REL_INCREMENTAL` | `0`/`false`/`off`/`no` to disable | enabled | Incremental view maintenance for session evaluation and commit-time constraint re-checks ([`Session::set_incremental`] overrides per session). Results are byte-identical either way. |
+//! | `REL_INCREMENTAL` | `0`/`false`/`off`/`no` to disable | enabled | Incremental view maintenance of the library state and of each query's own strata ([`Session::set_incremental`] overrides per session). Results are byte-identical either way. |
 //! | `REL_WCOJ` | `0`/`off`, `force`, else auto | auto | Routing of multi-atom conjunctions through the leapfrog WCOJ kernel ([`Session::set_wcoj`] overrides per session). Results are byte-identical in every mode. |
 //! | `REL_COLUMNAR` | `0`/`false`/`off`/`no` to disable | enabled | Typed columnar storage layout under `Relation` ([`rel_core::columnar`]): set-operation merges, trie seeks, and sort keys run over schema-specialized columns (`Vec<i64>`, dictionary-encoded strings, …) instead of boxed `Value` rows. [`Session::set_columnar`] flips the same switch at runtime — it is **process-wide**, not per session, because the kernels live below the session layer. Results are byte-identical in both layouts. |
 //! | `REL_DURABILITY` | `0`/`off`/`false`/`no` to disable | enabled | Whether [`Session::open`] actually attaches durable storage; disabled, it returns a plain ephemeral session without touching disk ([`durability::durability_env_enabled`]). |
@@ -153,6 +165,7 @@ pub mod eval;
 pub mod fixpoint;
 pub mod incremental;
 pub mod leapfrog;
+pub mod library;
 mod lru;
 pub mod metrics;
 pub mod prepared;

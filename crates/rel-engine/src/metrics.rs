@@ -266,6 +266,9 @@ pub struct Registry {
     pub strata_delta_restarted: Counter,
     /// Strata recomputed from scratch inside the changed cone.
     pub strata_recomputed: Counter,
+    /// Materialize runs that handed their strata to scoped worker threads
+    /// (runs with at most one stratum to evaluate stay inline).
+    pub scheduler_spawns: Counter,
     /// Conjunction groups dispatched to the leapfrog WCOJ kernel.
     pub wcoj_dispatches: Counter,
     /// Atoms dispatched to the pairwise binary-join scheduler.
@@ -300,6 +303,7 @@ impl Registry {
             strata_reused: Counter::new(),
             strata_delta_restarted: Counter::new(),
             strata_recomputed: Counter::new(),
+            scheduler_spawns: Counter::new(),
             wcoj_dispatches: Counter::new(),
             binary_join_dispatches: Counter::new(),
             fused_rules: Counter::new(),
@@ -338,6 +342,7 @@ impl Registry {
             ("strata_reused", &self.strata_reused),
             ("strata_delta_restarted", &self.strata_delta_restarted),
             ("strata_recomputed", &self.strata_recomputed),
+            ("scheduler_spawns", &self.scheduler_spawns),
             ("wcoj_dispatches", &self.wcoj_dispatches),
             ("binary_join_dispatches", &self.binary_join_dispatches),
             ("fused_rules", &self.fused_rules),
@@ -438,7 +443,7 @@ mod tests {
     #[test]
     fn snapshot_names_resolve_and_render() {
         let snap = registry().snapshot();
-        assert_eq!(snap.counters.len(), 22);
+        assert_eq!(snap.counters.len(), 23);
         assert_eq!(snap.get("commits"), registry().commits.get());
         assert_eq!(snap.get("not_a_counter"), 0);
         let text = snap.render();

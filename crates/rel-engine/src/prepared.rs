@@ -29,7 +29,8 @@
 //! }
 //! ```
 
-use crate::session::{check_constraints, Session};
+use crate::library::Compiled;
+use crate::session::Session;
 use rel_core::{name, Database, Name, RelError, RelResult, Relation, Value};
 use rel_sema::ir::{param_relation, Module};
 use std::collections::BTreeMap;
@@ -111,18 +112,19 @@ impl Params {
 /// session). Obtained from [`Session::prepare`].
 #[derive(Clone, Debug)]
 pub struct Prepared {
-    module: Arc<Module>,
+    /// The compiled module, split against the session's library.
+    pub(crate) compiled: Arc<Compiled>,
     src: String,
 }
 
 impl Prepared {
-    pub(crate) fn new(module: Arc<Module>, src: String) -> Self {
-        Prepared { module, src }
+    pub(crate) fn new(compiled: Arc<Compiled>, src: String) -> Self {
+        Prepared { compiled, src }
     }
 
     /// The compiled module (shared handle).
     pub fn module(&self) -> &Arc<Module> {
-        &self.module
+        &self.compiled.full
     }
 
     /// The query source this handle was prepared from (not including the
@@ -133,7 +135,7 @@ impl Prepared {
 
     /// Bare names of the `?name` parameters the query references, sorted.
     pub fn param_names(&self) -> &[Name] {
-        &self.module.params
+        &self.module().params
     }
 
     /// Execute against the session's current database snapshot. The query
@@ -150,8 +152,7 @@ impl Prepared {
     /// the `output` relation (integrity constraints in scope are checked).
     pub fn execute_with(&self, session: &Session, params: &Params) -> RelResult<Relation> {
         let start = crate::metrics::enabled().then(std::time::Instant::now);
-        let rels = self.materialize_with(session, params, session.db())?;
-        check_constraints(&self.module, &rels)?;
+        let (rels, _) = session.read(&self.compiled, &mut self.bind(params, session.db())?)?;
         if let Some(start) = start {
             crate::metrics::registry().query_us.record(start.elapsed());
         }
@@ -179,10 +180,9 @@ impl Prepared {
         // out of the session's cache (or was inserted there) at prepare
         // time. Report the cache's *current* view of the source.
         let module_cache_hit = session.module_cached(&self.src);
-        let db = self.bind(params, session.db())?;
+        let mut db = self.bind(params, session.db())?;
         session.run_profiled(start, module_cache_hit, |s| {
-            let (rels, outcome) = s.materialize_module_outcome(&self.module, &db)?;
-            check_constraints(&self.module, &rels)?;
+            let (rels, outcome) = s.read(&self.compiled, &mut db)?;
             Ok((rels.get("output").cloned().unwrap_or_default(), outcome))
         })
     }
@@ -191,21 +191,22 @@ impl Prepared {
     /// module parameter — mismatches are errors rather than
     /// silently-empty results.
     fn validate(&self, params: &Params) -> RelResult<()> {
-        for required in &self.module.params {
+        let expected = self.param_names();
+        for required in expected {
             if params.get(required).is_none() {
                 return Err(RelError::unsafe_expr(format!(
                     "parameter `?{required}` is unbound (prepared query \
                      expects: {})",
-                    render_names(&self.module.params)
+                    render_names(expected)
                 )));
             }
         }
         for bound in params.names() {
-            if !self.module.params.contains(bound) {
+            if !expected.contains(bound) {
                 return Err(RelError::unsafe_expr(format!(
                     "query has no parameter `?{bound}` (prepared query \
                      expects: {})",
-                    render_names(&self.module.params)
+                    render_names(expected)
                 )));
             }
         }
@@ -218,26 +219,11 @@ impl Prepared {
     pub(crate) fn bind(&self, params: &Params, base: &Database) -> RelResult<Database> {
         self.validate(params)?;
         let mut db = base.clone();
-        for p in &self.module.params {
+        for p in self.param_names() {
             let rel = params.get(p).expect("checked above").clone();
             db.set(param_relation(p), rel);
         }
         Ok(db)
-    }
-
-    /// Materialize the compiled module against `base` (+ bound params)
-    /// through the session's shared index cache and incremental fixpoint
-    /// cache: re-executions against an unchanged (or slightly changed)
-    /// snapshot re-derive only the dependent cone of what moved — for a
-    /// rebound parameter, just the strata reading that parameter.
-    pub(crate) fn materialize_with(
-        &self,
-        session: &Session,
-        params: &Params,
-        base: &Database,
-    ) -> RelResult<BTreeMap<Name, Relation>> {
-        let db = self.bind(params, base)?;
-        session.materialize_module(&self.module, &db)
     }
 
     /// Execute a whole batch of parameter bindings against **one**
@@ -260,13 +246,12 @@ impl Prepared {
         for (i, params) in batches.iter().enumerate() {
             if i > 0 {
                 self.validate(params)?;
-                for p in &self.module.params {
+                for p in self.param_names() {
                     let rel = params.get(p).expect("validated above").clone();
                     db.set(param_relation(p), rel);
                 }
             }
-            let rels = session.materialize_module(&self.module, &db)?;
-            check_constraints(&self.module, &rels)?;
+            let (rels, _) = session.read(&self.compiled, &mut db)?;
             out.push(rels.get("output").cloned().unwrap_or_default());
         }
         Ok(out)

@@ -1,11 +1,14 @@
 //! Sessions and transactions (§3.4–3.5 of the paper).
 //!
 //! A [`Session`] owns a [`Database`] plus installed library source (the
-//! standard library and any user libraries). Executing a query is a
-//! *transaction*: the program (library + query) is compiled and
-//! materialized; the control relations `output`, `insert` and `delete`
-//! steer the result; integrity constraints are checked against the
-//! post-state and abort the transaction when violated.
+//! standard library and any user libraries). The library's derived
+//! relations and constraints are part of the database: the session keeps
+//! one maintained *library state* next to `db` (see [`crate::library`]).
+//! Executing a query is a *transaction*: the program (library + query) is
+//! compiled, its own strata are materialized on top of the library state;
+//! the control relations `output`, `insert` and `delete` steer the
+//! result; integrity constraints are checked against the post-state and
+//! abort the transaction when violated.
 //!
 //! Compilation is cached (client API v2): the library prefix is parsed
 //! once per revision, and every compiled `library + query` module is
@@ -18,8 +21,8 @@ use crate::config::EngineConfig;
 use crate::durability::{self, DurabilityConfig, DurableStore};
 use crate::env::Env;
 use crate::eval::{EvalCtx, SharedIndexCache};
-use crate::fixpoint::materialize_with_cache;
 use crate::incremental::{self, PreState};
+use crate::library::{self, Compiled, LibraryState};
 use crate::lru::LruMap;
 use crate::metrics;
 use crate::prepared::{Params, Prepared};
@@ -34,7 +37,7 @@ use rel_syntax::Program;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Compiled modules cached per session, keyed by query source. Bounded so
 /// a server feeding unbounded ad-hoc query strings through one session
@@ -48,7 +51,17 @@ const MODULE_CACHE_CAP: usize = 512;
 /// tuple storage.
 const FIXPOINT_CACHE_CAP: usize = 32;
 
-type ModuleCache = LruMap<String, Arc<Module>>;
+type ModuleCache = LruMap<String, Arc<Compiled>>;
+
+/// The session's caches are valid at every step of an update, so a lock
+/// poisoned by a panicking reader or writer is simply taken.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Key: the module's `Arc` address. The entry keeps the `Arc` alive, so
 /// the address cannot be recycled by a different allocation while the
@@ -69,10 +82,10 @@ pub struct TxnOutcome {
 
 /// An interactive session: a database plus library code.
 ///
-/// The session also owns a [`SharedIndexCache`]: hash indexes built while
-/// evaluating one query are keyed by relation generation, so they are
-/// reused verbatim by later queries/transactions over the unchanged base
-/// relations, and invalidated per relation as transactions commit.
+/// The session also owns a [`SharedIndexCache`]: hash indexes and tries
+/// built while evaluating one query are keyed by relation generation, so
+/// later queries and transactions over the same relation objects — base
+/// or library — reuse them, and they go when those relations do.
 ///
 /// # Threading model
 ///
@@ -105,10 +118,18 @@ pub struct Session {
     pub(crate) db: Database,
     library: String,
     pub(crate) index_cache: SharedIndexCache,
-    /// The installed library source, parsed once and kept warm: compiling
-    /// a query re-parses only the query's own text, then runs semantic
-    /// analysis over the merged program.
-    library_ast: OnceLock<Arc<Program>>,
+    /// The installed library, parsed and compiled on its own
+    /// (`compile("")`) once per library revision: compiling a query
+    /// re-parses only the query's own text before analysis, and its module
+    /// is split against the library's. Shared with clones, like the module
+    /// cache whose entries refer to it.
+    library_compiled: Arc<OnceLock<(Program, Arc<Module>)>>,
+    /// The library state last derived for `db` (`None` until first
+    /// needed). Validated by base generations, never trusted: a stale
+    /// one — after [`Session::db_mut`] edits — is advanced on the next
+    /// read. Commits install the transaction's candidate state together
+    /// with its database; clones start from a copy of the handle.
+    pub(crate) library_state: RwLock<Option<Arc<LibraryState>>>,
     /// Compiled modules keyed by query source, valid for the *current*
     /// library revision, with LRU eviction at capacity. Shared across
     /// clones of the session; [`Session::install_library`] swaps in a
@@ -166,7 +187,8 @@ impl Clone for Session {
             db: self.db.clone(),
             library: self.library.clone(),
             index_cache: self.index_cache.clone(),
-            library_ast: self.library_ast.clone(),
+            library_compiled: Arc::clone(&self.library_compiled),
+            library_state: RwLock::new(self.stored_library_state()),
             module_cache: Arc::clone(&self.module_cache),
             fixpoint_cache: Arc::clone(&self.fixpoint_cache),
             incremental: self.incremental,
@@ -185,7 +207,8 @@ impl Session {
             db,
             library: String::new(),
             index_cache: SharedIndexCache::default(),
-            library_ast: OnceLock::new(),
+            library_compiled: Arc::default(),
+            library_state: RwLock::new(None),
             module_cache: Arc::new(RwLock::new(LruMap::new(MODULE_CACHE_CAP))),
             fixpoint_cache: Arc::new(RwLock::new(LruMap::new(FIXPOINT_CACHE_CAP))),
             incremental: incremental::env_enabled(),
@@ -410,7 +433,8 @@ impl Session {
     pub fn install_library(&mut self, src: &str) {
         self.library.push_str(src);
         self.library.push('\n');
-        self.library_ast = OnceLock::new();
+        self.library_compiled = Arc::default();
+        self.library_state = RwLock::new(None);
         self.module_cache = Arc::new(RwLock::new(LruMap::new(MODULE_CACHE_CAP)));
         // The old library's compiled modules can never be looked up again
         // through this session, so their captured fixpoints would only
@@ -534,8 +558,8 @@ impl Session {
     /// Fan a committed transaction's effects out to every standing query
     /// (called by [`Transaction::commit`] right after the candidate
     /// database is installed).
-    pub(crate) fn notify_watches(&self, touched: &BTreeSet<Name>) {
-        watch::notify(&self.watches, self, touched);
+    pub(crate) fn notify_watches(&self, lib: &LibraryState, touched: &BTreeSet<Name>) {
+        watch::notify(&self.watches, self, lib, touched);
     }
 
     /// Builder-style library installation.
@@ -554,15 +578,45 @@ impl Session {
         &mut self.db
     }
 
-    /// The installed library, parsed (parsing happens at most once per
-    /// library revision).
-    fn library_program(&self) -> RelResult<Arc<Program>> {
-        if let Some(p) = self.library_ast.get() {
-            return Ok(Arc::clone(p));
+    /// The installed library, parsed and compiled on its own (at most
+    /// once per library revision; no library, no analysis).
+    fn library_compiled(&self) -> RelResult<&(Program, Arc<Module>)> {
+        if self.library_compiled.get().is_none() {
+            let program = rel_syntax::parse_program(&self.library)?;
+            let module = match self.library.is_empty() {
+                true => Module::default(),
+                false => rel_sema::analyze(&program)?,
+            };
+            // Two racing threads both compile; `set` keeps one.
+            let _ = self.library_compiled.set((program, Arc::new(module)));
         }
-        let parsed = Arc::new(rel_syntax::parse_program(&self.library)?);
-        // Two racing threads both parse; `get_or_init` keeps one.
-        Ok(Arc::clone(self.library_ast.get_or_init(|| parsed)))
+        Ok(self.library_compiled.get().expect("set above"))
+    }
+
+    pub(crate) fn stored_library_state(&self) -> Option<Arc<LibraryState>> {
+        read(&self.library_state).clone()
+    }
+
+    /// The library state for `db`, advanced from `prev` (see
+    /// [`LibraryState::advance`]).
+    pub(crate) fn advance_library(
+        &self,
+        prev: Option<&Arc<LibraryState>>,
+        db: &Database,
+    ) -> RelResult<Arc<LibraryState>> {
+        let (_, library) = self.library_compiled()?;
+        LibraryState::advance(prev, library, db, &self.index_cache, self.incremental)
+    }
+
+    /// The library state of the session's own database, brought up to
+    /// date (and kept) if the database moved since it was derived.
+    pub(crate) fn library_state(&self) -> RelResult<Arc<LibraryState>> {
+        let prev = self.stored_library_state();
+        let lib = self.advance_library(prev.as_ref(), &self.db)?;
+        if !prev.is_some_and(|p| Arc::ptr_eq(&p, &lib)) {
+            *write(&self.library_state) = Some(Arc::clone(&lib));
+        }
+        Ok(lib)
     }
 
     /// Compile a query against the installed library, through the
@@ -571,12 +625,12 @@ impl Session {
     /// most once per revision). The cache-hit path is allocation-free.
     /// The returned handle is shared — cloning it is free.
     pub fn compile(&self, src: &str) -> RelResult<Arc<Module>> {
-        if let Some(m) = self
-            .module_cache
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(src)
-        {
+        self.compiled(src).map(|c| Arc::clone(&c.full))
+    }
+
+    /// [`Session::compile`], keeping the split against the library.
+    pub(crate) fn compiled(&self, src: &str) -> RelResult<Arc<Compiled>> {
+        if let Some(m) = read(&self.module_cache).get(src) {
             if metrics::enabled() {
                 metrics::registry().module_cache_hits.incr();
             }
@@ -585,85 +639,77 @@ impl Session {
         if metrics::enabled() {
             metrics::registry().module_cache_misses.incr();
         }
-        let mut program = (*self.library_program()?).clone();
+        let (library_program, library) = self.library_compiled()?;
+        let mut program = library_program.clone();
         program.extend(rel_syntax::parse_program(src)?);
-        let module = Arc::new(rel_sema::analyze(&program)?);
-        self.module_cache
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(src.to_string(), Arc::clone(&module));
-        Ok(module)
+        let compiled = Arc::new(library::split(rel_sema::analyze(&program)?, Arc::clone(library)));
+        write(&self.module_cache).insert(src.to_string(), Arc::clone(&compiled));
+        Ok(compiled)
     }
 
-    /// Materialize a compiled module against `db` through the session's
-    /// incremental machinery: when a fixpoint of this module was captured
-    /// before (and incremental mode is on), only the dependent cone of
-    /// the base relations whose generations moved is re-derived — an
-    /// unchanged database costs O(#relations) pointer bumps. The freshly
-    /// produced state is captured for the next call. Results are
-    /// byte-identical to a full [`materialize_with_cache`] run.
-    pub(crate) fn materialize_module(
+    /// Evaluate a compiled query over `db` (a snapshot of the base
+    /// database plus any bound `?param` relations) on top of `lib`, the
+    /// library state of that base database: the library predicates the
+    /// query reads are put into `db` from `lib`, and only the query's own
+    /// strata are materialized — through the incremental machinery: when a
+    /// fixpoint of the module was captured before (and incremental mode is
+    /// on), only the dependent cone of the inputs whose generations moved
+    /// is re-derived, and an unchanged `db` costs O(#relations) pointer
+    /// bumps. The fresh state is captured for the next call. Results are
+    /// byte-identical to a full [`crate::fixpoint::materialize`] run; the
+    /// second component says *how* the evaluation was served — the
+    /// fixpoint line of a [`QueryProfile`].
+    pub(crate) fn evaluate(
         &self,
-        module: &Arc<Module>,
-        db: &Database,
-    ) -> RelResult<BTreeMap<Name, Relation>> {
-        self.materialize_module_outcome(module, db).map(|(rels, _)| rels)
-    }
-
-    /// [`Session::materialize_module`], also reporting *how* the
-    /// evaluation was served (full, pure cache reuse, or incremental with
-    /// per-stratum classification) — the fixpoint line of a
-    /// [`QueryProfile`].
-    pub(crate) fn materialize_module_outcome(
-        &self,
-        module: &Arc<Module>,
-        db: &Database,
+        compiled: &Compiled,
+        db: &mut Database,
+        lib: &LibraryState,
     ) -> RelResult<(BTreeMap<Name, Relation>, FixpointOutcome)> {
-        if !self.incremental {
-            let rels = materialize_with_cache(module, db, self.index_cache.clone())?;
-            return Ok((rels, FixpointOutcome::Full));
-        }
+        let (module, shared) = compiled.over(lib);
+        lib.overlay(shared, db);
+        // With maintenance off every evaluation starts from nothing; on,
+        // a pure reuse — nothing moved since capture — needs no re-capture
+        // and (the hot concurrent path) no write lock.
         let key = Arc::as_ptr(module) as usize;
-        let pre = self
-            .fixpoint_cache
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-            .and_then(|(m, pre)| Arc::ptr_eq(&m, module).then_some(pre));
-        if let Some(pre) = &pre {
-            // Pure reuse: nothing moved since capture, so the captured
-            // state *is* this evaluation's result — no re-derivation, no
-            // re-capture, and (the hot concurrent path) no write lock.
-            if pre.touched_in(db).is_empty() {
-                if metrics::enabled() {
-                    metrics::registry().fixpoint_cache_hits.incr();
-                }
-                return Ok((pre.state().clone(), FixpointOutcome::CacheReuse));
-            }
+        let cached = self.incremental.then(|| read(&self.fixpoint_cache).get(&key)).flatten();
+        let pre = cached.and_then(|(m, pre)| Arc::ptr_eq(&m, module).then_some(pre));
+        let (rels, outcome) =
+            incremental::advance(module, pre.as_deref(), self.incremental, db, &self.index_cache)?;
+        let reused = outcome == FixpointOutcome::CacheReuse;
+        if self.incremental && metrics::enabled() {
+            let r = metrics::registry();
+            if reused { r.fixpoint_cache_hits.incr() } else { r.fixpoint_cache_misses.incr() }
         }
-        if metrics::enabled() {
-            metrics::registry().fixpoint_cache_misses.incr();
+        if self.incremental && !reused {
+            let pre = Arc::new(PreState::capture(db, &rels));
+            write(&self.fixpoint_cache).insert(key, (Arc::clone(module), pre));
         }
-        let (rels, outcome) = match pre {
-            Some(pre) => {
-                let (rels, stats) = incremental::materialize_incremental_with_stats(
-                    module,
-                    &pre,
-                    db,
-                    self.index_cache.clone(),
-                )?;
-                (rels, FixpointOutcome::Incremental(stats))
-            }
-            None => (
-                materialize_with_cache(module, db, self.index_cache.clone())?,
-                FixpointOutcome::Full,
-            ),
-        };
-        self.fixpoint_cache
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, (Arc::clone(module), Arc::new(PreState::capture(db, &rels))));
         Ok((rels, outcome))
+    }
+
+    /// A read against the session's own database: [`Session::evaluate`]
+    /// over its library state, then the library's constraint verdict and
+    /// the constraints the query itself declares.
+    pub(crate) fn read(
+        &self,
+        compiled: &Compiled,
+        db: &mut Database,
+    ) -> RelResult<(BTreeMap<Name, Relation>, FixpointOutcome)> {
+        let lib = self.library_state()?;
+        let (rels, outcome) = self.evaluate(compiled, db, &lib)?;
+        lib.verdict.clone()?;
+        let (own, _) = compiled.over(&lib);
+        check_constraints(own, &own.constraints, &rels, &self.index_cache)?;
+        Ok((rels, outcome))
+    }
+
+    /// [`Session::compiled`] for a source that runs as it stands: its
+    /// control relations materializable, no `?param` left to bind.
+    pub(crate) fn compiled_query(&self, src: &str) -> RelResult<Arc<Compiled>> {
+        let compiled = self.compiled(src)?;
+        check_control_materializable(&compiled.full)?;
+        require_no_params(&compiled.full)?;
+        Ok(compiled)
     }
 
     /// Compile a query once into a [`Prepared`] handle that can be
@@ -682,9 +728,9 @@ impl Session {
     /// assert_eq!(cheap.rows::<String>().unwrap(), vec!["P1".to_string()]);
     /// ```
     pub fn prepare(&self, src: &str) -> RelResult<Prepared> {
-        let module = self.compile(src)?;
-        check_control_materializable(&module)?;
-        Ok(Prepared::new(module, src.to_string()))
+        let compiled = self.compiled(src)?;
+        check_control_materializable(&compiled.full)?;
+        Ok(Prepared::new(compiled, src.to_string()))
     }
 
     /// Run a read-only query: returns the `output` relation. Integrity
@@ -698,11 +744,8 @@ impl Session {
             return self.query_profiled(src).map(|(out, _)| out);
         }
         let start = metrics::enabled().then(std::time::Instant::now);
-        let module = self.compile(src)?;
-        check_control_materializable(&module)?;
-        require_no_params(&module)?;
-        let rels = self.materialize_module(&module, &self.db)?;
-        check_constraints(&module, &rels)?;
+        let compiled = self.compiled_query(src)?;
+        let (rels, _) = self.read(&compiled, &mut self.db.clone())?;
         if let Some(start) = start {
             metrics::registry().query_us.record(start.elapsed());
         }
@@ -718,22 +761,12 @@ impl Session {
     /// [`crate::profile`] for how to read the result.
     pub fn query_profiled(&self, src: &str) -> RelResult<(Relation, QueryProfile)> {
         let start = std::time::Instant::now();
-        let module_cache_hit = self
-            .module_cache
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(src)
-            .is_some();
-        let module = self.compile(src)?;
-        check_control_materializable(&module)?;
-        require_no_params(&module)?;
-        let (out, profile) =
-            self.run_profiled(start, module_cache_hit, |s| {
-                let (rels, outcome) = s.materialize_module_outcome(&module, &s.db)?;
-                check_constraints(&module, &rels)?;
-                Ok((rels.get("output").cloned().unwrap_or_default(), outcome))
-            })?;
-        Ok((out, profile))
+        let module_cache_hit = self.module_cached(src);
+        let compiled = self.compiled_query(src)?;
+        self.run_profiled(start, module_cache_hit, |s| {
+            let (rels, outcome) = s.read(&compiled, &mut s.db.clone())?;
+            Ok((rels.get("output").cloned().unwrap_or_default(), outcome))
+        })
     }
 
     /// Shared profiled-evaluation harness ([`Session::query_profiled`],
@@ -776,20 +809,16 @@ impl Session {
     /// Was this query source already compiled into the session's module
     /// cache? (Profile plumbing for the prepared API.)
     pub(crate) fn module_cached(&self, src: &str) -> bool {
-        self.module_cache
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(src)
-            .is_some()
+        read(&self.module_cache).get(src).is_some()
     }
 
     /// Evaluate a query and return an arbitrary derived relation (useful
     /// for tests and tooling). Demand-driven relations cannot be fetched
     /// whole.
     pub fn eval(&self, src: &str, relation: &str) -> RelResult<Relation> {
-        let module = self.compile(src)?;
-        require_no_params(&module)?;
-        let rels = self.materialize_module(&module, &self.db)?;
+        let compiled = self.compiled(src)?;
+        require_no_params(&compiled.full)?;
+        let (rels, _) = self.evaluate(&compiled, &mut self.db.clone(), &*self.library_state()?)?;
         Ok(rels.get(relation).cloned().unwrap_or_default())
     }
 
@@ -818,7 +847,7 @@ impl Session {
 
 /// A module whose `?name` parameters are unbound can only run through the
 /// prepared-query API, which supplies the reserved relations.
-pub(crate) fn require_no_params(module: &Module) -> RelResult<()> {
+fn require_no_params(module: &Module) -> RelResult<()> {
     if let Some(p) = module.params.first() {
         return Err(RelError::unsafe_expr(format!(
             "query references parameter `?{p}`: prepare it and bind values \
@@ -830,7 +859,7 @@ pub(crate) fn require_no_params(module: &Module) -> RelResult<()> {
 
 /// Control relations must be fully materializable: a demand-driven
 /// `output` would silently evaluate to nothing.
-pub(crate) fn check_control_materializable(module: &Module) -> RelResult<()> {
+fn check_control_materializable(module: &Module) -> RelResult<()> {
     for control in ["output", "insert", "delete"] {
         if let Some(info) = module.pred_info.get(control) {
             if let rel_sema::ir::EvalMode::Demand { bound_prefix } = info.mode {
@@ -868,11 +897,17 @@ pub(crate) fn extract_delta(rels: &BTreeMap<Name, Relation>) -> RelResult<Delta>
     Ok(delta)
 }
 
-/// Evaluate every integrity constraint's violation query; the first
+/// Evaluate the violation query of each of `constraints` (declared by
+/// `module`) over `rels`, through the shared index cache; the first
 /// non-empty one aborts.
-pub fn check_constraints(module: &Module, rels: &BTreeMap<Name, Relation>) -> RelResult<()> {
-    let cx = EvalCtx::new(module, rels);
-    for c in &module.constraints {
+pub fn check_constraints<'c>(
+    module: &Module,
+    constraints: impl IntoIterator<Item = &'c ConstraintIr>,
+    rels: &BTreeMap<Name, Relation>,
+    cache: &SharedIndexCache,
+) -> RelResult<()> {
+    let cx = EvalCtx::with_cache(module, rels, cache.clone());
+    for c in constraints {
         let witnesses = eval_constraint(&cx, c)?;
         if !witnesses.is_empty() {
             let rendered: Vec<String> =
@@ -1114,11 +1149,14 @@ mod tests {
     }
 
     #[test]
-    fn commit_invalidates_indexes_of_touched_relations() {
+    fn commit_sheds_indexes_of_touched_relations() {
         let mut s = session();
-        // Build an index over ProductPrice (the join binds x, indexing on
-        // the bound position) and record the pre-commit generation.
+        // Keyed on the second column — not a prefix, so a hash index is
+        // built and cached at the pre-commit generation (a first-column
+        // lookup probes the sorted rows and caches nothing).
         s.query("def output(y) : ProductPrice(\"P1\", y)").unwrap();
+        assert!(s.index_cache.generations_for("ProductPrice").is_empty());
+        s.query("def output(x) : ProductPrice(x, 10)").unwrap();
         let old_gen = s.db().get("ProductPrice").unwrap().generation();
         let pre = s.index_cache.generations_for("ProductPrice");
         assert!(
@@ -1126,8 +1164,8 @@ mod tests {
             "expected an index built against the pre-commit generation, got {pre:?}"
         );
         // Commit a transaction that touches ProductPrice. The module here
-        // never *reads* ProductPrice through an index, so without
-        // per-relation invalidation the old entry would linger.
+        // never *reads* ProductPrice through an index; the commit's
+        // library-state pass prunes the stale entry all the same.
         s.transact("def insert(:ProductPrice, x, y) : x = \"P9\" and y = 99")
             .unwrap();
         let post = s.index_cache.generations_for("ProductPrice");

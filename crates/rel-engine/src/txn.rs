@@ -10,13 +10,18 @@
 //! * [`Transaction::stage_insert`] / [`Transaction::stage_delete`] —
 //!   direct tuple-level staging without compiling a program.
 //!
-//! Integrity constraints are enforced at [`Transaction::commit`] against
-//! the **final** candidate state, matching the paper's §3.4–3.5 protocol
-//! ("changes are persisted, unless the transaction is aborted"): a step
-//! may transiently violate a constraint that a later step repairs.
-//! [`Transaction::abort`] — or simply dropping the handle — discards the
-//! candidate at zero cost; the session's database is only ever touched by
-//! a successful commit.
+//! The library state is part of the database (see [`crate::library`]), so
+//! the transaction carries a *candidate library state* next to the
+//! candidate database: steps evaluate their own strata on top of it, and
+//! [`Transaction::commit`] brings it up to date with the final candidate
+//! **once**, reads the library constraints' verdict off it, re-checks the
+//! constraints the steps themselves declared, and installs database and
+//! library state together — the paper's §3.4–3.5 protocol ("changes are
+//! persisted, unless the transaction is aborted"), with constraints
+//! enforced against the **final** state, so a step may transiently
+//! violate one that a later step repairs. [`Transaction::abort`] — or
+//! simply dropping the handle — discards both candidates at zero cost: an
+//! aborted candidate can never leak into the next commit's maintenance.
 //!
 //! ```
 //! use rel_core::database::figure1_database;
@@ -32,33 +37,23 @@
 //! assert_eq!(s.db().get("ClosedOrders").unwrap().len(), 4);
 //! ```
 
-use crate::fixpoint::materialize_with_cache;
-use crate::incremental::{materialize_incremental, PreState};
+use crate::library::{Compiled, LibraryState};
 use crate::prepared::{Params, Prepared};
-use crate::session::{
-    check_constraints, check_control_materializable, extract_delta, require_no_params, Session,
-    TxnOutcome,
-};
+use crate::session::{check_constraints, extract_delta, Session, TxnOutcome};
 use crate::watch::Watch;
 use rel_core::database::Delta;
 use rel_core::{Database, Name, RelResult, Relation, Tuple};
-use rel_sema::ir::Module;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
-/// A constraint check deferred to commit time. The step's materialization
-/// is kept as a captured [`PreState`] (CoW handles — cheap): if no later
-/// step touched anything the module reads, it *is* the final state's
-/// materialization; otherwise the incremental engine re-derives just the
-/// dependent cone from it, and only constraints inside the cone are
-/// re-verified against the re-derived state.
+/// The constraints a step's own source declared, deferred to commit
+/// time: the step is re-evaluated against the final candidate (through
+/// the session's incremental cache, which holds the step's fixpoint — so
+/// nothing is re-derived when no later step touched what it reads).
 struct PendingCheck {
-    module: Arc<Module>,
+    compiled: Arc<Compiled>,
     /// Reserved `?name` relations the step ran with.
     param_rels: BTreeMap<Name, Relation>,
-    /// The step's materialization plus the base-relation generations it
-    /// evaluated against (the candidate at step time + `param_rels`).
-    pre: PreState,
 }
 
 /// An in-flight transaction over a candidate database snapshot. Created
@@ -67,6 +62,8 @@ struct PendingCheck {
 pub struct Transaction<'s> {
     session: &'s mut Session,
     candidate: Database,
+    /// The library state last derived for (some state of) the candidate.
+    library: Option<Arc<LibraryState>>,
     touched: BTreeSet<Name>,
     inserted: usize,
     deleted: usize,
@@ -80,6 +77,7 @@ impl<'s> Transaction<'s> {
         Transaction {
             session,
             candidate,
+            library: None,
             touched: BTreeSet::new(),
             inserted: 0,
             deleted: 0,
@@ -108,16 +106,11 @@ impl<'s> Transaction<'s> {
     /// delta to the candidate, and return the step's `output` relation.
     /// Constraint checking is deferred to [`Transaction::commit`].
     pub fn run(&mut self, src: &str) -> RelResult<Relation> {
-        let module = self.session.compile(src)?;
-        check_control_materializable(&module)?;
         // Parameterized sources must come through `run_prepared`, which
         // binds the reserved relations — running them here would silently
         // evaluate against empty parameters.
-        require_no_params(&module)?;
-        let rels = self.session.materialize_module(&module, &self.candidate)?;
-        let pre = (!module.constraints.is_empty())
-            .then(|| PreState::capture(&self.candidate, &rels));
-        self.absorb_step(module, BTreeMap::new(), pre, rels)
+        let compiled = self.session.compiled_query(src)?;
+        self.step(compiled, self.candidate.clone())
     }
 
     /// Run a prepared step with `?name` parameters bound. The parameter
@@ -125,32 +118,37 @@ impl<'s> Transaction<'s> {
     /// into the candidate (or the committed) database.
     pub fn run_prepared(&mut self, prepared: &Prepared, params: &Params) -> RelResult<Relation> {
         let db = prepared.bind(params, &self.candidate)?;
-        let rels = self.session.materialize_module(prepared.module(), &db)?;
-        let param_rels: BTreeMap<Name, Relation> = prepared
-            .param_names()
-            .iter()
-            .map(|p| {
-                let reserved = rel_sema::ir::param_relation(p);
-                let rel = rels.get(&reserved).cloned().unwrap_or_default();
-                (reserved, rel)
-            })
-            .collect();
-        let pre = (!prepared.module().constraints.is_empty())
-            .then(|| PreState::capture(&db, &rels));
-        self.absorb_step(Arc::clone(prepared.module()), param_rels, pre, rels)
+        self.step(Arc::clone(&prepared.compiled), db)
     }
 
-    fn absorb_step(
-        &mut self,
-        module: Arc<Module>,
-        param_rels: BTreeMap<Name, Relation>,
-        pre: Option<PreState>,
-        rels: BTreeMap<Name, Relation>,
-    ) -> RelResult<Relation> {
+    /// The candidate library state, brought up to date with the
+    /// candidate database (starting from the session's own state).
+    fn library_state(&mut self) -> RelResult<Arc<LibraryState>> {
+        let prev = self.library.take().or_else(|| self.session.stored_library_state());
+        let lib = self.session.advance_library(prev.as_ref(), &self.candidate)?;
+        self.library = Some(Arc::clone(&lib));
+        Ok(lib)
+    }
+
+    /// Evaluate one step over `db` (the candidate plus bound parameters)
+    /// and stage its delta.
+    fn step(&mut self, compiled: Arc<Compiled>, mut db: Database) -> RelResult<Relation> {
+        let lib = self.library_state()?;
+        let (rels, _) = self.session.evaluate(&compiled, &mut db, &lib)?;
         let delta = extract_delta(&rels)?;
         let output = rels.get("output").cloned().unwrap_or_default();
-        if let Some(pre) = pre {
-            self.checks.push(PendingCheck { module, param_rels, pre });
+        if !compiled.over(&lib).0.constraints.is_empty() {
+            let param_rels = compiled
+                .full
+                .params
+                .iter()
+                .map(|p| {
+                    let reserved = rel_sema::ir::param_relation(p);
+                    let rel = rels.get(&reserved).cloned().unwrap_or_default();
+                    (reserved, rel)
+                })
+                .collect();
+            self.checks.push(PendingCheck { compiled, param_rels });
         }
         if !delta.is_empty() {
             self.inserted += delta.inserts.values().map(Vec::len).sum::<usize>();
@@ -201,33 +199,39 @@ impl<'s> Transaction<'s> {
         removed
     }
 
-    /// Check every staged step's integrity constraints against the final
-    /// candidate state and install it as the session's database. On a
-    /// violation the transaction aborts with the error and the session is
-    /// left untouched.
+    /// Check the library's and every staged step's integrity constraints
+    /// against the final candidate state and install it — database and
+    /// library state together — as the session's. On a violation the
+    /// transaction aborts with the error and the session is left
+    /// untouched. The library's constraints judge the *database*: their
+    /// verdict is taken over the pure library state, so a rule a step
+    /// added to a library predicate — never persisted — cannot repair
+    /// one. A transaction that ran no step and staged nothing commits
+    /// unconditionally.
     ///
-    /// The re-check is *incremental* (unless the session disables it):
-    /// each pending check compares the final candidate's base-relation
-    /// generations against the ones its step evaluated under; when
-    /// something moved, only the constraints inside the
-    /// [`rel_sema::ir::Module::dependent_cone`] of the moved relations
-    /// are re-verified, against state re-derived from the step's own
-    /// materialization by delta propagation (see [`crate::incremental`]).
-    pub fn commit(self) -> RelResult<TxnOutcome> {
-        // Direct staging bypasses compilation, so a transaction with no
-        // compiled steps carries no pending check that would enforce the
-        // *installed library's* constraints (every `run` step's module
-        // embeds them). Compile the empty query — cached after the first
-        // time — to recover exactly those.
-        if self.checks.is_empty() && !self.touched.is_empty() {
-            let module = self.session.compile("")?;
-            if !module.constraints.is_empty() {
-                let rels = self.session.materialize_module(&module, &self.candidate)?;
-                check_constraints(&module, &rels)?;
-            }
+    /// The work is what the transaction's delta costs: the library state
+    /// is advanced once by the incremental engine (see
+    /// [`crate::incremental`]; a full re-materialization when the session
+    /// disables it), library constraints whose inputs did not move keep
+    /// their verdict, and each step that declared constraints of its own
+    /// re-derives only what later steps changed under it.
+    pub fn commit(mut self) -> RelResult<TxnOutcome> {
+        // A transaction that neither ran a step nor staged a tuple has
+        // nothing to answer for: it commits even over a database that
+        // already violates a library constraint (reads still raise it).
+        let answerable = self.library.is_some() || !self.touched.is_empty();
+        let lib = self.library_state()?;
+        if answerable {
+            lib.verdict.clone()?;
         }
         for check in &self.checks {
-            self.recheck(check)?;
+            let mut db = self.candidate.clone();
+            for (reserved, rel) in &check.param_rels {
+                db.set(reserved, rel.clone());
+            }
+            let (rels, _) = self.session.evaluate(&check.compiled, &mut db, &lib)?;
+            let (own, _) = check.compiled.over(&lib);
+            check_constraints(own, &own.constraints, &rels, &self.session.index_cache)?;
         }
         // Durable sessions log the commit's net delta *after* every
         // constraint check passed and *before* the candidate becomes
@@ -241,18 +245,12 @@ impl<'s> Transaction<'s> {
             }
         }
         self.session.db = self.candidate;
-        // The touched relations' generations moved with the commit: drop
-        // their pre-commit indexes eagerly (generation-checked lookups
-        // could never serve them, this just sheds dead weight), while
-        // indexes built at the committed generation stay warm.
-        self.session
-            .index_cache
-            .invalidate_stale_relations(self.touched.iter(), &self.session.db);
+        self.session.library_state = RwLock::new(Some(Arc::clone(&lib)));
         // Standing queries see the commit the instant it is visible:
         // compute and push each registered watch's output delta against
         // the freshly installed database (watches whose dependent cone
         // the commit cannot reach are skipped without evaluation).
-        self.session.notify_watches(&self.touched);
+        self.session.notify_watches(&lib, &self.touched);
         // Fold the log into a snapshot when a compaction trigger fired
         // (no-op for ephemeral sessions; failure is a warning — the WAL
         // already holds this commit).
@@ -263,55 +261,6 @@ impl<'s> Transaction<'s> {
             inserted: self.inserted,
             deleted: self.deleted,
         })
-    }
-
-    /// Re-verify one step's constraints against the final candidate.
-    fn recheck(&self, check: &PendingCheck) -> RelResult<()> {
-        let mut db = self.candidate.clone();
-        for (reserved, rel) in &check.param_rels {
-            db.set(reserved.clone(), rel.clone());
-        }
-        let touched = check.pre.touched_in(&db);
-        if touched.is_empty() {
-            // Nothing changed after this step: its own materialization
-            // *is* the final state's.
-            return check_constraints(&check.module, check.pre.state());
-        }
-        if !self.session.incremental_enabled() {
-            let rels =
-                materialize_with_cache(&check.module, &db, self.session.index_cache.clone())?;
-            return check_constraints(&check.module, &rels);
-        }
-        // Can the touched relations reach any constraint at all? A
-        // constraint is affected when it reads a touched base relation
-        // directly or a predicate of an in-cone stratum. If none is, the
-        // step's own materialization is still authoritative for every
-        // constraint and no re-derivation happens; otherwise the cone is
-        // re-derived incrementally and all constraints are checked
-        // against the result (out-of-cone relations in it are
-        // pointer-identical to the step state, so those evaluations cost
-        // and yield exactly what a step-state check would).
-        let cone = check.module.dependent_cone(&touched);
-        let mut affected: BTreeSet<&Name> = touched.iter().collect();
-        for &i in &cone {
-            affected.extend(check.module.strata[i].preds.iter());
-        }
-        let any_affected = check.module.constraints.iter().any(|c| {
-            let mut hit = false;
-            rel_sema::ir::visit_constraint_preds(c, &mut |n| hit |= affected.contains(n));
-            hit
-        });
-        if any_affected {
-            let new_rels = materialize_incremental(
-                &check.module,
-                &check.pre,
-                &db,
-                self.session.index_cache.clone(),
-            )?;
-            check_constraints(&check.module, &new_rels)
-        } else {
-            check_constraints(&check.module, check.pre.state())
-        }
     }
 
     /// Discard the candidate state. Equivalent to dropping the handle —
@@ -490,6 +439,52 @@ mod tests {
         txn.stage_insert("OrderProductQuantity", tuple!["O9", "P1", 1]);
         txn.commit().unwrap();
         assert_eq!(s.db().get("OrderProductQuantity").unwrap().len(), 5);
+    }
+
+    #[test]
+    fn empty_commit_over_a_violating_database_succeeds() {
+        // The data already breaks the installed constraint (loaded behind
+        // the session's back). A transaction that did nothing commits;
+        // one that ran a step or staged a tuple answers for the state.
+        let mut s = session().with_library(
+            "ic valid_products(p) requires \
+               OrderProductQuantity(_,p,_) implies ProductPrice(p,_)\n",
+        );
+        s.db_mut().insert("OrderProductQuantity", tuple!["O9", "NOPE", 1]);
+        let violated = |r: RelResult<TxnOutcome>| {
+            matches!(r, Err(RelError::ConstraintViolation { .. }))
+        };
+        assert!(s.query("def output(x) : ProductPrice(x, _)").is_err());
+        s.begin().commit().unwrap();
+        let mut txn = s.begin();
+        txn.run("def output(x) : ProductPrice(x, _)").unwrap();
+        assert!(violated(txn.commit()));
+        let mut txn = s.begin();
+        txn.stage_insert("AuditLog", tuple!["unrelated"]);
+        assert!(violated(txn.commit()));
+        // Repairing the data is a commit like any other.
+        let mut txn = s.begin();
+        txn.stage_delete("OrderProductQuantity", &tuple!["O9", "NOPE", 1]);
+        txn.commit().unwrap();
+    }
+
+    #[test]
+    fn library_constraints_judge_the_database_not_a_steps_extension() {
+        // The installed constraint is violated by the stored data. A step
+        // that adds a rule to the library's predicate sees the constraint
+        // satisfied over *its* definition, but that rule is not persisted:
+        // the committed database would still violate it, so the commit
+        // aborts on the library state's verdict.
+        let mut s = session().with_library(
+            "def Priced(p) : ProductPrice(p, _)\n\
+             ic valid_products(p) requires OrderProductQuantity(_,p,_) implies Priced(p)\n",
+        );
+        s.db_mut().insert("OrderProductQuantity", tuple!["O9", "NOPE", 1]);
+        let mut txn = s.begin();
+        txn.run("def Priced(p) : p = \"NOPE\"\ndef insert(:AuditLog, x) : x = \"seen\"").unwrap();
+        let err = txn.commit().unwrap_err();
+        assert!(matches!(err, RelError::ConstraintViolation { .. }), "{err}");
+        assert!(!s.db().defines("AuditLog"));
     }
 
     #[test]

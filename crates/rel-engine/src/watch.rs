@@ -7,13 +7,16 @@
 //! transaction that can affect the result, the exact added/removed
 //! output rows.
 //!
-//! The delta computation rides the PR 4 incremental machinery instead of
-//! duplicating it: each standing query's module keeps a captured fixpoint
-//! in the session's incremental cache, so re-evaluating it after a commit
-//! re-derives only the dependent cone of what the commit touched — and a
-//! commit entirely *outside* the query's cone is detected up front by
-//! [`Module::dependent_cone`] and skipped without evaluating anything
-//! (the O(1) no-op path; `watch_out_of_cone_commit_is_noop` pins it).
+//! The library state is part of the database, and a standing query
+//! evaluates on top of it: a commit has already brought the library's
+//! derived relations up to date (once, for everybody) when watches are
+//! notified, so a watch re-derives only its *own* strata — through the
+//! captured fixpoint its module keeps in the session's incremental cache —
+//! from the base and library relations the commit moved. A commit that
+//! staged nothing in the query's cone — the cone of the whole module,
+//! library strata included — is detected up front by
+//! [`rel_sema::ir::Module::dependent_cone`] and skipped without evaluating
+//! anything (the O(1) no-op path; `watch_out_of_cone_commit_is_noop` pins it).
 //!
 //! # Delivery contract
 //!
@@ -41,10 +44,10 @@
 //! [`crate::Session::db_mut`] edits bypass commits and therefore bypass
 //! watch notification, exactly as they bypass the WAL.
 
+use crate::library::LibraryState;
 use crate::prepared::{Params, Prepared};
-use crate::session::{check_constraints, Session};
+use crate::session::Session;
 use rel_core::{Name, RelResult, Relation};
-use rel_sema::ir::Module;
 use std::collections::BTreeSet;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -197,8 +200,7 @@ pub(crate) fn register(
     prepared: &Prepared,
     params: &Params,
 ) -> RelResult<Watch> {
-    let rels = prepared.materialize_with(session, params, session.db())?;
-    check_constraints(prepared.module(), &rels)?;
+    let (rels, _) = session.read(&prepared.compiled, &mut prepared.bind(params, session.db())?)?;
     let initial = rels.get("output").cloned().unwrap_or_default();
     let buffer = session.watch_buffer().max(1);
     let (tx, rx) = std::sync::mpsc::sync_channel(buffer);
@@ -227,26 +229,38 @@ pub(crate) fn register(
 
 /// Fan one committed transaction's effects out to every standing query.
 /// Called by [`crate::Transaction::commit`] right after the candidate is
-/// installed as the session database; `touched` is the commit's set of
-/// modified base relations.
-pub(crate) fn notify(registry: &WatchRegistry, session: &Session, touched: &BTreeSet<Name>) {
+/// installed as the session database; `lib` is its library state and
+/// `touched` the base relations the commit moved.
+pub(crate) fn notify(
+    registry: &WatchRegistry,
+    session: &Session,
+    lib: &LibraryState,
+    touched: &BTreeSet<Name>,
+) {
     let mut set = registry.inner.lock().unwrap_or_else(PoisonError::into_inner);
     if set.entries.is_empty() {
         return;
     }
     set.entries.retain_mut(|entry| {
-        if !entry.lagged && out_of_cone(entry.prepared.module(), touched) {
-            // The commit cannot reach this query's result: O(1) skip.
+        let compiled = &entry.prepared.compiled;
+        if !entry.lagged && compiled.full.dependent_cone(touched).is_empty() {
+            // The commit provably cannot reach this query's result: O(1)
+            // skip. The cone is taken over the whole module, so a result
+            // the library state answers (an `output` the library itself
+            // defines) is reached like any other. (`dependent_cone`
+            // returns every stratum when it cannot prove independence,
+            // which routes through re-evaluation.)
             return true;
         }
         // Re-evaluate through the session's incremental cache: only the
-        // dependent cone of `touched` is re-derived (the module's captured
-        // fixpoint does the bookkeeping).
+        // query's own strata downstream of what moved are re-derived (the
+        // module's captured fixpoint does the bookkeeping).
         let new = match entry
             .prepared
-            .materialize_with(session, &entry.params, session.db())
+            .bind(&entry.params, session.db())
+            .and_then(|mut db| session.evaluate(compiled, &mut db, lib))
         {
-            Ok(rels) => rels.get("output").cloned().unwrap_or_default(),
+            Ok((rels, _)) => rels.get("output").cloned().unwrap_or_default(),
             // Evaluation failure (e.g. resource pressure) must not lose
             // the subscriber silently — force a resync on the next commit.
             Err(_) => {
@@ -294,14 +308,6 @@ pub(crate) fn notify(registry: &WatchRegistry, session: &Session, touched: &BTre
             Err(TrySendError::Disconnected(_)) => false,
         }
     });
-}
-
-/// Is the commit provably outside this module's dependent cone?
-/// Conservative: `dependent_cone` returns every stratum when it cannot
-/// prove independence, which makes this `false` and routes through the
-/// (still-correct) re-evaluation path.
-fn out_of_cone(module: &Module, touched: &BTreeSet<Name>) -> bool {
-    module.dependent_cone(touched).is_empty()
 }
 
 #[cfg(test)]
@@ -359,6 +365,27 @@ mod tests {
         let d = w.try_recv().unwrap();
         assert_eq!(d.seq, 1, "skipped commits must not consume sequence numbers");
         assert_eq!(d.added.len(), 3); // (0,1) (0,2) (0,3)
+    }
+
+    #[test]
+    fn watch_on_an_output_the_library_defines_gets_deltas() {
+        // The query adds nothing of its own: `output` is the library
+        // state's relation, and a commit that moves it must still push.
+        for library in ["def output(x,y) : E(x,y)", TC] {
+            let mut s = tc_session().with_library(library);
+            let q = s.prepare("").unwrap();
+            let w = s.watch(&q, &Params::new()).unwrap();
+            let mut mirror = w.try_recv().unwrap().apply_to(&Relation::default());
+            let mut txn = s.begin();
+            txn.stage_insert("E", tuple![3, 4]);
+            txn.commit().unwrap();
+            let d = w.try_recv().expect("the commit moved the library's output");
+            assert_eq!(d.seq, 1);
+            mirror = d.apply_to(&mirror);
+            assert_eq!(mirror, s.query("").unwrap());
+            s.transact("def insert(:Unrelated, x) : x = 1").unwrap();
+            assert!(w.try_recv().is_none());
+        }
     }
 
     #[test]

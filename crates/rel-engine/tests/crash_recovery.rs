@@ -235,6 +235,8 @@ fn crashed_session_stops_accepting_commits() {
 
 #[test]
 fn torn_tail_recovers_prefix_and_reopens_for_append() {
+    // Durable I/O must not meet a failpoint another test armed.
+    let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("torn");
     let cfg = cfg(FsyncPolicy::Off);
     let mut s = Session::open_with(&dir, cfg).unwrap();
@@ -261,6 +263,8 @@ fn torn_tail_recovers_prefix_and_reopens_for_append() {
 
 #[test]
 fn bit_flip_in_final_record_is_clean_crash_point() {
+    // Durable I/O must not meet a failpoint another test armed.
+    let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("flip-final");
     let cfg = cfg(FsyncPolicy::Off);
     let mut s = Session::open_with(&dir, cfg).unwrap();
@@ -283,6 +287,8 @@ fn bit_flip_in_final_record_is_clean_crash_point() {
 
 #[test]
 fn bit_flip_mid_log_is_hard_error_with_offset() {
+    // Durable I/O must not meet a failpoint another test armed.
+    let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("flip-mid");
     // No compaction: all three records must stay in the log.
     let cfg = DurabilityConfig { fsync: FsyncPolicy::Off, ..Default::default() };
@@ -309,6 +315,8 @@ fn bit_flip_mid_log_is_hard_error_with_offset() {
 
 #[test]
 fn empty_and_zero_length_stores_open_clean() {
+    // Durable I/O must not meet a failpoint another test armed.
+    let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = cfg(FsyncPolicy::Off);
     // Brand-new directory.
     let dir = temp_dir("fresh");

@@ -247,3 +247,157 @@ fn incremental_and_full_sessions_commit_identically() {
     }
     assert!(covered >= 8, "only {covered}/12 generated programs compiled");
 }
+
+/// The generated program with its `output` sink cut off, so it can be
+/// installed as a library under queries that define their own `output`.
+fn as_library(src: &str) -> String {
+    let cut = src.find("def output").expect("generated programs end in a sink");
+    format!("{}ic narrow(x, y) requires E0(x, y) implies x + y < {NARROW}\n", &src[..cut])
+}
+
+/// Bound on `x + y` in `E0` that the stream's library enforces: wide
+/// enough that most random inserts pass, narrow enough that some abort.
+const NARROW: i64 = 2 * DOMAIN - 4;
+
+#[test]
+fn library_state_follows_random_commit_streams() {
+    // The library state is maintained once per database state and shared
+    // by everything that reads it. Three sessions replay one random
+    // stream — prepared steps, compiled steps, direct staging with
+    // multi-tuple deletes, explicit aborts, aborts on the library's own
+    // constraint, a `db_mut()` edit and an `install_library` mid-stream,
+    // with ad hoc and prepared reads and two watches in between. After
+    // every commit the incremental session must agree, relation by
+    // relation and row by row, with a session that re-materializes
+    // everything and with a from-scratch `materialize` of the library.
+    let mut rng = StdRng::seed_from_u64(0x11B_57A7E);
+    let mut covered = 0;
+    let (mut commits, mut aborts) = (0, 0);
+    for case in 0..10 {
+        let (src, mut db) = random_program(&mut rng, 3, 5);
+        if rel_sema::compile(&src).is_err() {
+            continue;
+        }
+        covered += 1;
+        let mut library = as_library(&src);
+        // Start from a state the library's constraint accepts.
+        let sum = |t: &Tuple| t.values().iter().filter_map(Value::as_int).sum::<i64>();
+        db.get_mut("E0").retain(|t| sum(t) < NARROW);
+        let mut inc = Session::new(db.clone()).with_library(&library);
+        inc.set_incremental(true);
+        let mut full = Session::new(db).with_library(&library);
+        full.set_incremental(false);
+        let step = "def insert(:E1, x, y) : x = ?a and y = ?b";
+        let reads = ["def output(x, y) : P0(x, y)", "def output(x) : P3(x, _) and E2(x, _)"];
+        let watch_all = |inc: &Session| -> Vec<_> {
+            reads
+                .iter()
+                .map(|q| {
+                    let q = inc.prepare(q).expect("watched query prepares");
+                    let w = inc.watch(&q, &rel_engine::Params::new()).expect("watch registers");
+                    (q, w, Relation::new())
+                })
+                .collect()
+        };
+        let mut watches = watch_all(&inc);
+        for round in 0..14 {
+            let ops = random_ops(&mut rng, inc.db(), 3);
+            let kind = rng.gen_range(0..6);
+            let (a, b) = (rng.gen_range(0..DOMAIN), rng.gen_range(0..DOMAIN));
+            let feedback = format!("def insert(:E{}, x, y) : P1(x, y)", rng.gen_range(0..3));
+            if round == 5 {
+                // Behind the sessions' backs — and the watches', which
+                // are told of commits only and so register afresh.
+                for s in [&mut inc, &mut full] {
+                    s.db_mut().insert("E2", Tuple::from(vec![Value::int(a), Value::int(b)]));
+                }
+                watches = watch_all(&inc);
+            }
+            if round == 9 {
+                let more = "def P9(x, y) : P0(x, y) and not E1(x, y)\n\
+                            ic loopless(x) requires P9(x, x) implies E2(x, x)\n";
+                library.push_str(more);
+                for s in [&mut inc, &mut full] {
+                    s.install_library(more);
+                }
+            }
+            let mut outcomes = Vec::new();
+            for s in [&mut inc, &mut full] {
+                let prepared = s.prepare(step).expect("step prepares");
+                let mut txn = s.begin();
+                match kind {
+                    0 => {
+                        let params = rel_engine::Params::new().set("a", a).set("b", b);
+                        txn.run_prepared(&prepared, &params).expect("prepared step runs");
+                    }
+                    1 => {
+                        txn.run(&feedback).expect("compiled step runs");
+                    }
+                    _ => {}
+                }
+                for op in &ops {
+                    match op {
+                        Op::Insert(rel, t) => txn.stage_insert(rel, t.clone()),
+                        Op::Delete(rel, t) => txn.stage_delete(rel, t),
+                    };
+                }
+                if kind == 5 {
+                    txn.abort();
+                    outcomes.push(None);
+                } else {
+                    outcomes.push(Some(txn.commit().map(|o| (o.inserted, o.deleted))));
+                }
+            }
+            assert_eq!(
+                outcomes[0], outcomes[1],
+                "case {case} round {round}: the two modes ended the transaction differently"
+            );
+            match &outcomes[0] {
+                Some(Ok(_)) => commits += 1,
+                _ => aborts += 1,
+            }
+            assert_eq!(inc.db(), full.db(), "case {case} round {round}: databases diverged");
+            // Every library relation, three ways.
+            let module = rel_sema::compile(&library).expect("library compiles");
+            let scratch = rel_engine::materialize(&module, inc.db()).expect("scratch evaluates");
+            for pred in module.rules.keys() {
+                let rows = |r: &Relation| r.iter().cloned().collect::<Vec<Tuple>>();
+                let maintained = rows(&inc.eval("", pred).expect("incremental eval"));
+                assert_eq!(
+                    maintained,
+                    rows(&full.eval("", pred).expect("full eval")),
+                    "case {case} round {round}: {pred} diverged from full mode\n{library}"
+                );
+                assert_eq!(
+                    maintained,
+                    rows(&scratch[pred]),
+                    "case {case} round {round}: {pred} diverged from scratch\n{library}"
+                );
+            }
+            // Reads through the same state: an ad hoc query (a source the
+            // module cache has not seen), a prepared one, the watches.
+            let ad_hoc = format!("def output(x, y) : P2(x, y) and x != {}", 100 * case + round);
+            assert_eq!(
+                inc.query(&ad_hoc),
+                full.query(&ad_hoc),
+                "case {case} round {round}: ad hoc read"
+            );
+            for (q, w, mirror) in &mut watches {
+                while let Some(d) = w.try_recv() {
+                    *mirror = d.apply_to(mirror);
+                }
+                // A violated library constraint (possible after the
+                // `db_mut()` edit) fails the read in both modes alike.
+                match (q.execute(&inc), full.prepare(q.src()).and_then(|p| p.execute(&full))) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a, b, "case {case} round {round}: prepared read {}", q.src());
+                        assert_eq!(*mirror, a, "case {case} round {round}: watch on {}", q.src());
+                    }
+                    (a, b) => assert_eq!(a, b, "case {case} round {round}: failed read"),
+                }
+            }
+        }
+    }
+    assert!(covered >= 7, "only {covered}/10 generated programs compiled");
+    assert!(commits >= 40 && aborts >= 15, "{commits} commits, {aborts} aborts");
+}

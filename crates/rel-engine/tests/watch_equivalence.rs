@@ -58,6 +58,33 @@ fn programs() -> Vec<(&'static str, Params)> {
     ]
 }
 
+/// The same features read through an installed library: the watches
+/// share one maintained `path`/`Lonely` instead of deriving their own,
+/// and the library's constraint rides every commit.
+const LIBRARY: &str = "def path(x, y) : E(x, y)\n\
+                       def path(x, z) : exists((y) | path(x, y) and E(y, z))\n\
+                       def Lonely(x) : exists((y) | E(x, y)) and not N(x)\n\
+                       ic in_domain(x, y) requires path(x, y) implies x < 100\n";
+
+fn library_programs() -> Vec<(&'static str, Params)> {
+    vec![
+        ("def output(x, y) : path(x, y)", Params::new()),
+        ("def output(x) : Lonely(x)", Params::new()),
+        ("def output(x, y) : path(x, y) and y >= ?min", Params::new().set("min", 2)),
+        ("def output[v] : v = count[path]", Params::new()),
+        ("def output(x) : path(x, x) and not Lonely(x)", Params::new()),
+    ]
+}
+
+/// A library that defines `output` itself: the empty query's result is
+/// the library state's own relation, and a query that adds a rule to it
+/// takes the predicate back as its own.
+const OUTPUT_LIBRARY: &str = "def output(x, y) : path(x, y) and not Lonely(y)\n";
+
+fn library_output_programs() -> Vec<(&'static str, Params)> {
+    vec![("", Params::new()), ("def output(x) : Lonely(x)", Params::new())]
+}
+
 struct Watched {
     src: &'static str,
     params: Params,
@@ -103,12 +130,15 @@ fn random_commit(rng: &mut Rng, session: &mut Session) {
     txn.commit().expect("random base-fact commits cannot fail");
 }
 
-fn run_trial(seed: u64) {
+fn run_trial(seed: u64, library: &str, programs: Vec<(&'static str, Params)>) {
     let mut rng = Rng(seed | 1);
     let cfg = EngineConfig::from_env().incremental(rng.flip());
     let mut session = Session::with_config(Database::new(), cfg);
     if rng.flip() {
         session.set_watch_buffer(1);
+    }
+    if !library.is_empty() {
+        session.install_library(library);
     }
 
     // Seed a few facts so initial snapshots are non-trivial.
@@ -118,7 +148,7 @@ fn run_trial(seed: u64) {
     }
     session.db_mut().insert("N", random_tuple(&mut rng, 1));
 
-    let mut watched: Vec<Watched> = programs()
+    let mut watched: Vec<Watched> = programs
         .into_iter()
         .map(|(src, params)| {
             let prepared = session.prepare(src).expect("program compiles");
@@ -152,7 +182,10 @@ fn run_trial(seed: u64) {
 #[test]
 fn watch_mirror_matches_poll_across_random_commit_streams() {
     for seed in [3, 1137, 0xDEAD_BEEF, 0x5EED_u64, 982_451_653] {
-        run_trial(seed);
+        run_trial(seed, "", programs());
+        run_trial(seed, LIBRARY, library_programs());
+        let with_output = format!("{LIBRARY}{OUTPUT_LIBRARY}");
+        run_trial(seed, &with_output, library_output_programs());
     }
 }
 

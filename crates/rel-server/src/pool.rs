@@ -13,7 +13,8 @@
 //!
 //! Replicas share the template's module and fixpoint caches, so a query
 //! shape compiled on any replica (or by the commit worker) is warm on
-//! all of them. This is the convenience-layer pooling idiom of
+//! all of them — and they start from the library state the commit
+//! derived with the snapshot, so a read never maintains the library. This is the convenience-layer pooling idiom of
 //! dbuenzli/rel's `Rel_pool`, adapted to CoW snapshots: checkout,
 //! generation check, checkin.
 

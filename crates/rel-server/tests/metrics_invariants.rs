@@ -21,6 +21,14 @@ use rel_engine::metrics;
 use rel_engine::Session;
 use rel_server::{Client, Server, ServerConfig};
 
+/// The metrics switch is process-wide: tests that set it take turns, or
+/// one flips it off under another's feet.
+static SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn hold_switch() -> std::sync::MutexGuard<'static, ()> {
+    SWITCH.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn seeded_db(n: i64) -> Database {
     let mut db = Database::new();
     db.set(
@@ -47,6 +55,7 @@ fn assert_monotone(earlier: &metrics::MetricsSnapshot, later: &metrics::MetricsS
 
 #[test]
 fn counters_are_monotone_across_randomized_txn_stream() {
+    let _switch = hold_switch();
     let mut s = Session::new(seeded_db(16));
     s.set_metrics(true);
     let mut rng = StdRng::seed_from_u64(0x0b5e_7ab1);
@@ -100,6 +109,7 @@ fn profile_strata_wall_never_exceeds_query_wall() {
 
 #[test]
 fn results_are_identical_with_metrics_off_on_and_toggled() {
+    let _switch = hold_switch();
     let queries = [
         "def output(x, y) : TC(x, y)",
         "def output(x) : exists((y) | E(x, y) and E(y, x))",
@@ -127,6 +137,7 @@ fn results_are_identical_with_metrics_off_on_and_toggled() {
 
 #[test]
 fn stats_over_wire_matches_in_process_registry() {
+    let _switch = hold_switch();
     let mut session = Session::new(seeded_db(10));
     session.set_metrics(true);
     let server = Server::start(session, ServerConfig::default()).unwrap();
