@@ -1,22 +1,23 @@
 //! # rel-bench
 //!
-//! Workload generators and measurement helpers for the experiments in
-//! EXPERIMENTS.md (E1–E12). Criterion benches live in `benches/`; report
-//! binaries (one per experiment) in `src/bin/`.
+//! Workload generators and native reference results for the repo
+//! benchmark (`benchmark/`, declared by `BENCHMARK.json`): the order
+//! workload, the Rel programs it runs, and matrix fixtures. The
+//! benchmark pins seed-1 fingerprints of what these generate, so a
+//! change to any generator here is a change to its inputs.
 
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rel_core::{Database, Relation, Tuple, Value};
 
-/// Rel sources of the workload programs, shared by benches, report
-/// binaries, and the E11 code-size comparison.
+/// Rel sources of the workload programs.
 pub mod programs {
     /// Transitive closure (§3.3).
     pub const TC: &str = "def TC(x,y) : E(x,y)\n\
                           def TC(x,y) : exists((z) | E(x,z) and TC(z,y))\n\
                           def output(x,y) : TC(x,y)";
-    /// APSP, aggregation variant (§5.4; guarded — see EXPERIMENTS.md E1).
+    /// APSP, aggregation variant (§5.4).
     pub const APSP: &str = "def output(x,y,d) : APSP2(V, E, x, y, d)";
     /// PageRank with the paper's stop-condition program (§5.4).
     pub const PAGERANK: &str = "def output(i,v) : PageRank[M](i,v)";
@@ -164,15 +165,6 @@ pub fn native_matmul(a: &Relation, b: &Relation) -> Relation {
         .collect()
 }
 
-/// Non-comment, non-blank line count of a source text (the E11 code-size
-/// metric; `//`-style comments for both Rel and Rust).
-pub fn loc(src: &str) -> usize {
-    src.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with("//"))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,10 +205,5 @@ mod tests {
         let session = rel_engine::Session::with_stdlib(db);
         let out = session.query(programs::MATMUL).unwrap();
         assert_eq!(out, native);
-    }
-
-    #[test]
-    fn loc_counts_code_only() {
-        assert_eq!(loc("// comment\n\ndef F(x) : R(x)\n"), 1);
     }
 }

@@ -32,43 +32,33 @@
 //! immutable — a relation mutation drops the whole projection, and the
 //! next build re-interns — which is what keeps the code ordering stable.
 //!
-//! # The `REL_COLUMNAR` switch
+//! # The columnar switch
 //!
 //! [`columnar_enabled`] gates every columnar fast path in the workspace.
-//! It defaults from the `REL_COLUMNAR` environment variable (on unless
-//! `0`/`false`/`off`/`no`) and can be flipped at runtime with
-//! [`set_columnar_enabled`] — the switch is **process-wide** (the kernels
-//! live below any session context). Both layouts produce byte-identical
-//! results; the switch exists as an escape hatch and test axis.
+//! It is on by default and flipped with [`set_columnar_enabled`] — the
+//! switch is **process-wide** (the kernels live below any session
+//! context). This crate never reads the environment: the engine's
+//! configuration reader applies `REL_COLUMNAR`. Both layouts produce
+//! byte-identical results; the switch exists as an escape hatch and test
+//! axis.
 
 use crate::tuple::Tuple;
 use crate::value::{EntityId, OrdF64, Value};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrd};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-static COLUMNAR: OnceLock<AtomicBool> = OnceLock::new();
+static COLUMNAR: AtomicBool = AtomicBool::new(true);
 
-fn switch() -> &'static AtomicBool {
-    COLUMNAR.get_or_init(|| {
-        let on = match std::env::var("REL_COLUMNAR") {
-            Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "0" | "false" | "off" | "no"),
-            Err(_) => true,
-        };
-        AtomicBool::new(on)
-    })
-}
-
-/// Are columnar fast paths enabled? Process-wide; defaults from the
-/// `REL_COLUMNAR` environment variable (on unless `0`/`false`/`off`/`no`).
+/// Are columnar fast paths enabled? Process-wide; on by default.
 pub fn columnar_enabled() -> bool {
-    switch().load(AtomicOrd::Relaxed)
+    COLUMNAR.load(AtomicOrd::Relaxed)
 }
 
 /// Flip the process-wide columnar switch (see module docs). Results are
 /// byte-identical either way; this only selects which kernels run.
 pub fn set_columnar_enabled(on: bool) {
-    switch().store(on, AtomicOrd::Relaxed);
+    COLUMNAR.store(on, AtomicOrd::Relaxed);
 }
 
 /// A dictionary-encoded string column: `codes[i]` indexes into `dict`,
@@ -330,54 +320,6 @@ impl Column {
             }
         }
     }
-
-    fn stats(&self) -> ColumnStats {
-        fn minmax_distinct<T: Ord + Copy>(v: &[T], mk: impl Fn(T) -> Value) -> ColumnStats {
-            let mut sorted: Vec<T> = v.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            ColumnStats {
-                distinct: sorted.len(),
-                min: mk(*sorted.first().expect("non-empty column")),
-                max: mk(*sorted.last().expect("non-empty column")),
-            }
-        }
-        match self {
-            Column::Int(v) => minmax_distinct(v, Value::Int),
-            Column::Float(v) => minmax_distinct(v, Value::Float),
-            Column::Entity(v) => minmax_distinct(v, Value::Entity),
-            Column::Str(s) => ColumnStats {
-                distinct: s.distinct(),
-                min: Value::String(Arc::clone(&s.dict[0])),
-                max: Value::String(Arc::clone(&s.dict[s.dict.len() - 1])),
-            },
-            Column::Sym(s) => ColumnStats {
-                distinct: s.distinct(),
-                min: Value::Symbol(Arc::clone(&s.dict[0])),
-                max: Value::Symbol(Arc::clone(&s.dict[s.dict.len() - 1])),
-            },
-            Column::Mixed(v) => {
-                let distinct: std::collections::BTreeSet<&Value> = v.iter().collect();
-                ColumnStats {
-                    distinct: distinct.len(),
-                    min: (*distinct.first().expect("non-empty column")).clone(),
-                    max: (*distinct.last().expect("non-empty column")).clone(),
-                }
-            }
-        }
-    }
-}
-
-/// Per-column statistics computed over a columnar projection: the hook
-/// the WCOJ planner's cardinality-based variable ordering will consume.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ColumnStats {
-    /// Number of distinct values in the column.
-    pub distinct: usize,
-    /// Smallest value (in [`Value`] order).
-    pub min: Value,
-    /// Largest value (in [`Value`] order).
-    pub max: Value,
 }
 
 /// The typed columnar projection of a uniform-arity relation; row `i`
@@ -386,7 +328,6 @@ pub struct ColumnStats {
 pub struct Columnar {
     len: usize,
     cols: Vec<Column>,
-    stats: OnceLock<Arc<Vec<ColumnStats>>>,
 }
 
 impl Columnar {
@@ -400,7 +341,7 @@ impl Columnar {
             return None;
         }
         let cols = (0..arity).map(|c| Column::build(rows, c)).collect();
-        Some(Columnar { len: rows.len(), cols, stats: OnceLock::new() })
+        Some(Columnar { len: rows.len(), cols })
     }
 
     /// Number of rows.
@@ -436,11 +377,6 @@ impl Columnar {
         self.arity().cmp(&other.arity())
     }
 
-    /// Per-column statistics, computed once and cached on the projection
-    /// (and therefore on the relation's shared storage).
-    pub fn stats(&self) -> &Arc<Vec<ColumnStats>> {
-        self.stats.get_or_init(|| Arc::new(self.cols.iter().map(Column::stats).collect()))
-    }
 }
 
 #[cfg(test)]
@@ -541,23 +477,6 @@ mod tests {
         let cb = Columnar::build(&b).unwrap();
         assert_eq!(ca.cmp_rows(0, &cb, 0), Ordering::Less);
         assert_eq!(cb.cmp_rows(0, &ca, 0), Ordering::Greater);
-    }
-
-    #[test]
-    fn stats_distinct_and_minmax() {
-        let rows = vec![
-            tuple![3, "b"],
-            tuple![1, "a"],
-            tuple![3, "c"],
-            tuple![2, "a"],
-        ];
-        let c = Columnar::build(&rows).unwrap();
-        let stats = c.stats();
-        assert_eq!(stats[0], ColumnStats { distinct: 3, min: Value::int(1), max: Value::int(3) });
-        assert_eq!(
-            stats[1],
-            ColumnStats { distinct: 3, min: Value::str("a"), max: Value::str("c") }
-        );
     }
 
     #[test]

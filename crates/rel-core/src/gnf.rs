@@ -329,6 +329,15 @@ mod tests {
             parts[&name("ProductPrice")],
             Relation::from_tuples([tuple!["P1", 10], tuple!["P2", 20]])
         );
+        // Lossless: rejoining the parts on the key gives the wide relation.
+        let mut rejoined = Relation::new();
+        for t in parts[&name("ProductName")].iter() {
+            let key = &t.values()[0];
+            for p in parts[&name("ProductPrice")].partial_apply(std::slice::from_ref(key)).iter() {
+                rejoined.insert(tuple![key.clone(), t.values()[1].clone(), p.values()[0].clone()]);
+            }
+        }
+        assert_eq!(rejoined, wide);
     }
 
     #[test]

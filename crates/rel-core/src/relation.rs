@@ -48,7 +48,7 @@
 //!    whenever storage is rewritten; both are pure functions of the tuple
 //!    set.
 
-use crate::columnar::{columnar_enabled, ColumnStats, Columnar};
+use crate::columnar::{columnar_enabled, Columnar};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::BTreeSet;
@@ -238,23 +238,14 @@ impl Relation {
     /// this so a one-shot `union`/`minus` doesn't charge a full
     /// projection build to inputs that never needed one (the build costs
     /// more than the boxed-row walk it would replace); consumers that
-    /// genuinely want columns ([`Relation::column_stats`], the engine's
-    /// sorted tries) call [`Relation::columnar`] and pay for the build
-    /// once per relation state.
+    /// genuinely want columns (the engine's sorted tries) call
+    /// [`Relation::columnar`] and pay for the build once per relation
+    /// state.
     fn peek_columnar(&self) -> Option<&Arc<Columnar>> {
         if !columnar_enabled() {
             return None;
         }
         self.storage.columnar.get()?.as_ref()
-    }
-
-    /// Per-column statistics (distinct count, min, max) from the columnar
-    /// projection, `None` whenever [`Relation::columnar`] is. Computed
-    /// once per relation state and cached on the shared storage — cheap
-    /// to re-read, and the input the WCOJ planner's cardinality-based
-    /// variable ordering consumes.
-    pub fn column_stats(&self) -> Option<Arc<Vec<ColumnStats>>> {
-        self.columnar().map(|c| Arc::clone(c.stats()))
     }
 
     /// Number of tuples.
@@ -1036,22 +1027,6 @@ mod tests {
         if let Some(c) = r.columnar() {
             assert_eq!(c.len(), 5, "projection must track the mutated rows");
         }
-    }
-
-    #[test]
-    fn column_stats_surface() {
-        let r = opq();
-        let Some(stats) = r.column_stats() else {
-            assert!(!crate::columnar::columnar_enabled());
-            return;
-        };
-        assert_eq!(stats.len(), 3);
-        assert_eq!(stats[0].distinct, 3); // O1, O2, O3
-        assert_eq!(stats[1].distinct, 3); // P1, P2, P3
-        assert_eq!(stats[2].distinct, 3); // 1, 2, 4
-        assert_eq!(stats[2].min, Value::int(1));
-        assert_eq!(stats[2].max, Value::int(4));
-        assert!(Relation::new().column_stats().is_none());
     }
 
     #[test]

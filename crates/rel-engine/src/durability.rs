@@ -6,7 +6,7 @@
 //!
 //! * [`FsyncPolicy`] — when the WAL is flushed to stable storage
 //!   (`always` / `batch` / `off`), defaulting from the `REL_FSYNC`
-//!   environment variable;
+//!   environment variable (resolved by [`crate::config`]);
 //! * [`DurabilityConfig`] — fsync policy plus the commit-count and
 //!   log-size triggers for compaction (snapshot + log truncation);
 //! * [`failpoint`] / [`FailpointFile`] — the crash-injection harness the
@@ -45,21 +45,8 @@ pub enum FsyncPolicy {
     Off,
 }
 
-impl FsyncPolicy {
-    /// The policy selected by the `REL_FSYNC` environment variable:
-    /// `always`, `batch` (the default, also for unset/unknown values), or
-    /// `off`/`0`/`false`/`no`.
-    pub fn from_env() -> Self {
-        match std::env::var("REL_FSYNC").unwrap_or_default().to_ascii_lowercase().as_str() {
-            "always" => FsyncPolicy::Always,
-            "off" | "0" | "false" | "no" => FsyncPolicy::Off,
-            _ => FsyncPolicy::Batch,
-        }
-    }
-}
-
-/// Tuning knobs for a durable session. [`Default`] reads `REL_FSYNC` for
-/// the sync policy and uses compaction triggers sized for a steady
+/// Tuning knobs for a durable session. [`Default`] takes the sync policy
+/// from `REL_FSYNC` and uses compaction triggers sized for a steady
 /// transaction stream.
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityConfig {
@@ -77,23 +64,12 @@ pub struct DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
-            fsync: FsyncPolicy::from_env(),
+            fsync: crate::config::env().fsync,
             fsync_batch: 32,
             compact_after_commits: 1024,
             compact_after_bytes: 16 << 20,
         }
     }
-}
-
-/// Is durable storage enabled at all? `REL_DURABILITY=0/off/false/no`
-/// turns [`crate::Session::open`] into a plain ephemeral constructor —
-/// the escape hatch for benchmarks and tests that take a durable code
-/// path but must not touch disk.
-pub fn durability_env_enabled() -> bool {
-    !matches!(
-        std::env::var("REL_DURABILITY").unwrap_or_default().to_ascii_lowercase().as_str(),
-        "0" | "off" | "false" | "no"
-    )
 }
 
 /// How many fsyncs the durability layer has issued since process start

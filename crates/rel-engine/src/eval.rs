@@ -136,10 +136,8 @@ type TrieCache = HashMap<(Name, Vec<usize>), (u64, Arc<SortedRel>)>;
 /// How `eval_conj` routes multi-atom conjunctions through the leapfrog
 /// worst-case-optimal join kernel ([`crate::leapfrog`]).
 ///
-/// The process-wide default comes from the `REL_WCOJ` environment
-/// variable (`0`/`false`/`off`/`no` → [`WcojMode::Off`],
-/// `force`/`always` → [`WcojMode::Force`], anything else including unset
-/// → [`WcojMode::Auto`]); [`crate::Session::set_wcoj`] overrides it per
+/// The default comes from the `REL_WCOJ` environment variable (resolved
+/// by [`crate::config`]); [`crate::EngineConfig::wcoj`] sets it per
 /// session. All modes produce byte-identical results — the switch exists
 /// as an escape hatch and a test axis, mirroring `REL_EVAL_THREADS` and
 /// `REL_INCREMENTAL`.
@@ -165,25 +163,6 @@ pub enum WcojMode {
 pub const WCOJ_MIN_ATOMS: usize = 3;
 
 impl WcojMode {
-    /// The process default, from the `REL_WCOJ` environment variable.
-    pub fn from_env() -> WcojMode {
-        match std::env::var("REL_WCOJ") {
-            Ok(v) => WcojMode::parse(&v),
-            Err(_) => WcojMode::Auto,
-        }
-    }
-
-    /// Parse a `REL_WCOJ`-style setting: `0`/`false`/`off`/`no` →
-    /// [`WcojMode::Off`], `force`/`always` → [`WcojMode::Force`],
-    /// anything else → [`WcojMode::Auto`].
-    pub fn parse(s: &str) -> WcojMode {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "0" | "false" | "off" | "no" => WcojMode::Off,
-            "force" | "always" => WcojMode::Force,
-            _ => WcojMode::Auto,
-        }
-    }
-
     /// Smallest eligible atom group this mode hands to leapfrog;
     /// `usize::MAX` disables the path.
     fn min_atoms(self) -> usize {
@@ -202,9 +181,10 @@ impl WcojMode {
 /// strata, stable SCC members) are built once and reused; only entries
 /// over relations whose generation moved are rebuilt. Cloning the handle
 /// shares the caches. The handle also carries the evaluation's
-/// [`WcojMode`], so a session-level `set_wcoj` reaches every evaluator
-/// the session spawns (fixpoint workers, transactions, incremental
-/// restarts) through the plumbing the cache already rides.
+/// [`WcojMode`], fixed when the handle is made, so a session's mode
+/// reaches every evaluator the session spawns (fixpoint workers,
+/// transactions, incremental restarts) through the plumbing the cache
+/// already rides.
 ///
 /// The handle is `Arc`-of-locks-based and therefore `Send + Sync`: the
 /// parallel stratum scheduler shares one cache across all of its worker
@@ -220,7 +200,7 @@ pub struct SharedIndexCache(Arc<CacheState>);
 struct CacheState {
     indexes: RwLock<IndexCache>,
     tries: RwLock<TrieCache>,
-    wcoj: RwLock<WcojMode>,
+    wcoj: WcojMode,
     /// Count of leapfrog joins executed through this cache handle
     /// (diagnostics/tests: proves the WCOJ path actually routed).
     wcoj_joins: AtomicU64,
@@ -233,7 +213,7 @@ struct CacheState {
 
 impl Default for SharedIndexCache {
     fn default() -> Self {
-        SharedIndexCache::with_wcoj(WcojMode::from_env())
+        SharedIndexCache::with_wcoj(crate::config::env().wcoj)
     }
 }
 
@@ -251,12 +231,12 @@ impl std::fmt::Debug for SharedIndexCache {
 
 impl SharedIndexCache {
     /// A fresh cache with an explicit WCOJ routing mode (the default
-    /// constructor reads `REL_WCOJ`).
+    /// constructor takes `REL_WCOJ`'s).
     pub fn with_wcoj(mode: WcojMode) -> Self {
         SharedIndexCache(Arc::new(CacheState {
             indexes: RwLock::new(HashMap::new()),
             tries: RwLock::new(HashMap::new()),
-            wcoj: RwLock::new(mode),
+            wcoj: mode,
             wcoj_joins: AtomicU64::new(0),
             profile: RwLock::new(None),
         }))
@@ -278,15 +258,9 @@ impl SharedIndexCache {
         self.0.tries.write().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The current WCOJ routing mode.
+    /// The WCOJ routing mode of every evaluator sharing this handle.
     pub fn wcoj_mode(&self) -> WcojMode {
-        *self.0.wcoj.read().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Change the WCOJ routing mode for every evaluator sharing this
-    /// handle.
-    pub fn set_wcoj(&self, mode: WcojMode) {
-        *self.0.wcoj.write().unwrap_or_else(std::sync::PoisonError::into_inner) = mode;
+        self.0.wcoj
     }
 
     /// How many leapfrog joins evaluators sharing this handle have run.
@@ -3061,20 +3035,6 @@ mod tests {
         moved.get_mut("E").expect("fixture relation").insert(tuple![7, 8]);
         cache.prune_stale(&moved);
         assert!(cache.generations_for("E").is_empty());
-    }
-
-    #[test]
-    fn wcoj_mode_env_parsing() {
-        // (Live reads of REL_WCOJ are covered by the CI matrix legs;
-        // setting env vars here would race sibling tests.)
-        assert_eq!(WcojMode::parse("0"), WcojMode::Off);
-        assert_eq!(WcojMode::parse(" off "), WcojMode::Off);
-        assert_eq!(WcojMode::parse("FALSE"), WcojMode::Off);
-        assert_eq!(WcojMode::parse("force"), WcojMode::Force);
-        assert_eq!(WcojMode::parse("always"), WcojMode::Force);
-        assert_eq!(WcojMode::parse("auto"), WcojMode::Auto);
-        assert_eq!(WcojMode::parse("1"), WcojMode::Auto);
-        assert_eq!(WcojMode::parse(""), WcojMode::Auto);
     }
 
     #[test]

@@ -82,18 +82,9 @@ pub fn materialize_with_cache(
 /// The scheduler's worker count: the `REL_EVAL_THREADS` environment
 /// variable when set to a positive integer, otherwise (unset, empty, or
 /// unparsable) the available hardware parallelism (capped at 8 — stratum
-/// DAGs rarely go wider).
+/// DAGs rarely go wider). Resolved once per process by [`crate::config`].
 pub fn eval_threads() -> usize {
-    std::env::var("REL_EVAL_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(8)
-        })
+    crate::config::env().eval_threads
 }
 
 /// [`materialize_with_cache`] with an explicit worker count. `threads <= 1`
@@ -652,8 +643,8 @@ fn map_rexpr(x: &mut RExpr, f: &mut impl FnMut(&Name) -> Name) {
     }
 }
 
-/// Evaluate *naively* (no deltas): used by the naive-vs-semi-naive
-/// ablation benchmark (E4).
+/// Evaluate *naively* (no deltas): the reference `tests/properties.rs`
+/// compares semi-naive evaluation against.
 pub fn materialize_naive(module: &Module, db: &Database) -> RelResult<BTreeMap<Name, Relation>> {
     let mut rels: BTreeMap<Name, Relation> =
         db.iter().map(|(n, r)| (n.clone(), r.clone())).collect();

@@ -58,7 +58,7 @@
 //! byte-identical to full re-materialization (the randomized
 //! `incremental_equivalence` suite drives inserts, deletes, aborts and
 //! library changes through both and compares row by row).
-//! `REL_INCREMENTAL=0` / [`crate::Session::set_incremental`] fall back to
+//! `REL_INCREMENTAL=0` / [`crate::EngineConfig::incremental`] fall back to
 //! full re-materialization everywhere.
 
 use crate::env::Env;
@@ -71,19 +71,6 @@ use crate::profile::{FixpointOutcome, StratumAction, StratumProfile};
 use rel_core::{Database, Name, RelResult, Relation};
 use rel_sema::ir::{EvalMode, Module, Stratum};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The default incremental-maintenance switch for this process: the
-/// `REL_INCREMENTAL` environment variable, off when set to `0`, `false`,
-/// `off`, or `no` (case-insensitive), on otherwise (including unset).
-pub fn env_enabled() -> bool {
-    match std::env::var("REL_INCREMENTAL") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
-    }
-}
 
 /// A captured pre-state: the full relation state of one materialization
 /// of a module, plus the generation of every base relation of the

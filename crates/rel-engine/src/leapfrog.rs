@@ -38,7 +38,7 @@
 //! shared index cache, so a trie is built once per relation state and
 //! then shared read-only across fixpoint iterations and scheduler worker
 //! threads; per-join state is only the lightweight trie-cursor stack.
-//! The `REL_WCOJ` environment variable / `Session::set_wcoj` select the
+//! The `REL_WCOJ` environment variable / `EngineConfig::wcoj` select the
 //! routing mode (see [`crate::eval::WcojMode`]). The kernel is also used
 //! directly by the E8 triangle benchmark via [`triangle_count_lftj`].
 

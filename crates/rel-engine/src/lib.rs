@@ -60,11 +60,11 @@
 //!   state + module cache + shared index cache; `Session` is `Send +
 //!   Sync` and serves queries from many threads;
 //! * [`config`] — [`EngineConfig`]: every engine switch (incremental,
-//!   WCOJ, columnar, metrics, watch buffer, durability) as one builder;
-//!   [`EngineConfig::from_env`] resolves the whole `REL_*` table below in
-//!   one call, [`Session::with_config`] / [`Session::open_with`] apply it
-//!   at construction, and the per-switch setters stay as runtime wrappers
-//!   over the same switch points;
+//!   WCOJ, columnar, metrics, watch buffer, durability) as one builder,
+//!   and the engine's only reader of the environment:
+//!   [`EngineConfig::from_env`] is the whole `REL_*` table below, resolved
+//!   once per process, and [`Session::with_config`] /
+//!   [`Session::open_with`] fix a session's switches at construction;
 //! * [`watch`] — standing queries: [`Session::watch`] registers a
 //!   prepared query and every later commit pushes the exact
 //!   added/removed output rows as [`WatchDelta`] batches over a bounded
@@ -103,12 +103,12 @@
 //!   `eval`'s conjunction scheduler routes qualifying multi-atom groups
 //!   (triangles, cyclic joins) through it, over permuted sorted tries
 //!   cached generation-keyed in the shared index cache. The routing mode
-//!   is `REL_WCOJ` / [`Session::set_wcoj`] ([`WcojMode`]): `0` disables,
+//!   is `REL_WCOJ` / [`EngineConfig::wcoj`] ([`WcojMode`]): `0` disables,
 //!   `force` drags every eligible conjunction through the kernel; all
 //!   modes produce byte-identical results;
 //! * [`metrics`] / [`profile`] — engine-wide observability: a
 //!   process-wide registry of atomic counters and latency histograms
-//!   (zero-cost no-ops unless `REL_METRICS` / [`Session::set_metrics`]
+//!   (zero-cost no-ops unless `REL_METRICS` / [`metrics::set_metrics`]
 //!   turns them on), plus per-query [`QueryProfile`]s from
 //!   [`Session::query_profiled`] / [`Prepared::execute_profiled`] —
 //!   per-stratum wall time and iteration counts, join-kernel choice,
@@ -129,28 +129,28 @@
 //! `REL_SERVER_*` knobs the `rel-server` crate layers on top, so the
 //! whole `REL_*` namespace has a single consolidated table. Each is a
 //! process-wide *default*; where a per-session (or per-server) override
-//! exists it is listed alongside. The engine rows of this table are
-//! exactly the fields of [`EngineConfig`] — [`EngineConfig::from_env`]
-//! resolves all of them in one call, and the per-field docs on
-//! [`EngineConfig`] are the authoritative switch reference this table is
-//! generated from.
+//! exists it is listed alongside. [`config`] reads the engine rows, once
+//! per process, and `ServerConfig::from_env` the server rows; nothing
+//! else reads the environment. On/off switches share one spelling:
+//! `0`/`false`/`off`/`no` and `1`/`true`/`on`/`yes`, trimmed, any case;
+//! an unparsable value counts as unset.
 //!
 //! | Variable | Values | Default | Effect |
 //! |----------|--------|---------|--------|
 //! | `REL_EVAL_THREADS` | positive integer | # cores (≤ 8) | Worker threads per fixpoint run ([`eval_threads`]); `1` is fully sequential. |
-//! | `REL_INCREMENTAL` | `0`/`false`/`off`/`no` to disable | enabled | Incremental view maintenance of the library state and of each query's own strata ([`Session::set_incremental`] overrides per session). Results are byte-identical either way. |
-//! | `REL_WCOJ` | `0`/`off`, `force`, else auto | auto | Routing of multi-atom conjunctions through the leapfrog WCOJ kernel ([`Session::set_wcoj`] overrides per session). Results are byte-identical in every mode. |
-//! | `REL_COLUMNAR` | `0`/`false`/`off`/`no` to disable | enabled | Typed columnar storage layout under `Relation` ([`rel_core::columnar`]): set-operation merges, trie seeks, and sort keys run over schema-specialized columns (`Vec<i64>`, dictionary-encoded strings, …) instead of boxed `Value` rows. [`Session::set_columnar`] flips the same switch at runtime — it is **process-wide**, not per session, because the kernels live below the session layer. Results are byte-identical in both layouts. |
-//! | `REL_DURABILITY` | `0`/`off`/`false`/`no` to disable | enabled | Whether [`Session::open`] actually attaches durable storage; disabled, it returns a plain ephemeral session without touching disk ([`durability::durability_env_enabled`]). |
-//! | `REL_FSYNC` | `always`, `batch`, `off`/`0`/`false`/`no` | `batch` | When WAL appends reach stable storage ([`FsyncPolicy::from_env`]; [`DurabilityConfig`] overrides per session via [`Session::open_with`]). |
-//! | `REL_WATCH_BUFFER` | positive integer | `64` | Delivery buffer of a standing query ([`Session::watch`]), in [`WatchDelta`] batches: a subscriber further behind than this goes *lagged* — commits stop buffering deltas for it and the next in-cone commit after it drains coalesces everything missed into one resync snapshot ([`Session::set_watch_buffer`] overrides per session). |
+//! | `REL_INCREMENTAL` | switch | on | Incremental view maintenance of the library state and of each query's own strata ([`EngineConfig::incremental`] per session). Results are byte-identical either way. |
+//! | `REL_WCOJ` | switch off, `force`/`always`, else auto | auto | Routing of multi-atom conjunctions through the leapfrog WCOJ kernel ([`EngineConfig::wcoj`] per session). Results are byte-identical in every mode. |
+//! | `REL_COLUMNAR` | switch off | on | Typed columnar storage layout under `Relation` ([`rel_core::columnar`]): set-operation merges, trie seeks, and sort keys run over schema-specialized columns (`Vec<i64>`, dictionary-encoded strings, …) instead of boxed `Value` rows. **Process-wide**, not per session, because the kernels live below the session layer: [`rel_core::set_columnar_enabled`] flips it at runtime; the variable can only turn it off, once, when the engine first resolves its configuration. Results are byte-identical in both layouts. |
+//! | `REL_DURABILITY` | switch | on | Whether [`Session::open`] actually attaches durable storage; off, it returns a plain ephemeral session without touching disk. |
+//! | `REL_FSYNC` | `always`, `batch`, switch off | `batch` | When WAL appends reach stable storage ([`FsyncPolicy`]; [`EngineConfig::durability`] per session via [`Session::open_with`]). |
+//! | `REL_WATCH_BUFFER` | positive integer | `64` | Delivery buffer of a standing query ([`Session::watch`]), in [`WatchDelta`] batches: a subscriber further behind than this goes *lagged* — commits stop buffering deltas for it and the next in-cone commit after it drains coalesces everything missed into one resync snapshot ([`EngineConfig::watch_buffer`] per session). |
 //! | `REL_SERVER_ADDR` | `host:port` | `127.0.0.1:0` | Listen address of `rel-server` (port `0` picks a free port). Read by `ServerConfig::from_env` in the `rel-server` crate; the config struct overrides per server. |
 //! | `REL_SERVER_MAX_CONNS` | positive integer | `64` | Max simultaneous connections; excess connects get a typed `Busy` reply. |
 //! | `REL_SERVER_MAX_INFLIGHT` | positive integer | `4` | Max commit jobs one connection may have queued at once (`Busy` beyond it). |
 //! | `REL_SERVER_QUEUE_DEPTH` | positive integer | `256` | Max commit jobs queued across all connections (`Busy` when full). |
 //! | `REL_SERVER_GROUP_WINDOW` | positive integer | `32` | Max commits coalesced into one group-commit window — one WAL fsync — per commit-worker pass ([`Session::begin_commit_group`]). |
 //! | `REL_SERVER_POOL` | positive integer | `8` | Max read replicas checked out of the server's session pool at once (readers block, never fail, beyond it). |
-//! | `REL_METRICS` | `1`/`true`/`on`/`yes` to enable | disabled | Hot-path engine metrics ([`metrics`]): cache hit/miss, join-kernel dispatch, incremental classification, and per-query latency counters on the process-wide [`metrics::registry`] ([`Session::set_metrics`] flips the same process-wide switch at runtime). Cold-path counters (commits, aborts, WAL bytes, fsyncs, compactions, snapshot publishes) record regardless. Results are byte-identical either way. |
+//! | `REL_METRICS` | switch | off | Hot-path engine metrics ([`metrics`]): cache hit/miss, join-kernel dispatch, incremental classification, and per-query latency counters on the process-wide [`metrics::registry`] ([`metrics::set_metrics`] flips the same process-wide switch at runtime, and the variable never undoes such a call). Cold-path counters (commits, aborts, WAL bytes, fsyncs, compactions, snapshot publishes) record regardless. Results are byte-identical either way. |
 //! | `REL_SLOW_QUERY_MS` | non-negative integer | unset | Slow-query log: any [`Session::query`] at or above the threshold is profiled and its rendered [`QueryProfile`] printed to stderr ([`metrics::slow_query_ms`]). |
 //!
 //! [`Session::query`]/[`Session::eval`] results are unaffected by every

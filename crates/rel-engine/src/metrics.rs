@@ -14,10 +14,9 @@
 //!
 //! Hot-path instrumentation (per-rule, per-join, per-cache-lookup) is
 //! guarded by [`enabled`]: one relaxed atomic load and a predictable
-//! branch, so the metrics-off configuration costs nothing measurable
-//! (the `observability_overhead` workload in `bench_report` guards the
-//! claim). The gate reads `REL_METRICS` once (`1`/`true`/`on`/`yes`
-//! enable) and [`set_metrics`] overrides it process-wide at runtime.
+//! branch, so the metrics-off configuration costs nothing measurable.
+//! The gate is off by default; `REL_METRICS` (resolved once by
+//! [`crate::config`]) or [`set_metrics`] turns it on process-wide.
 //!
 //! **Cold-path counters record unconditionally**, gate or no gate:
 //! commits, aborts, WAL bytes, fsyncs, compactions, and snapshot
@@ -33,52 +32,40 @@
 //! concurrent readers are always well-defined; the `metrics_invariants`
 //! suite pins this across randomized transaction streams.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
 // The gate
 // ---------------------------------------------------------------------------
 
-/// Tri-state gate: 0 = read `REL_METRICS` on first use, 1 = off, 2 = on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-fn env_enabled() -> bool {
-    matches!(
-        std::env::var("REL_METRICS").ok().as_deref().map(str::trim),
-        Some("1" | "true" | "on" | "yes")
-    )
-}
+/// The hot-path gate, off until `REL_METRICS` or [`set_metrics`] turns it
+/// on.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Is hot-path metrics collection on? One relaxed load + branch — the
 /// off path is a branch-predictable no-op.
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let on = env_enabled();
-            ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Override the `REL_METRICS` gate process-wide (it sits below the
-/// session layer, like [`crate::Session::set_columnar`]'s switch).
+/// Turn hot-path metrics on or off process-wide (the registry sits below
+/// the session layer). The environment is resolved first, so a later
+/// `REL_METRICS` override can never undo this call.
 pub fn set_metrics(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    crate::config::env();
+    store(on);
 }
 
-/// The `REL_SLOW_QUERY_MS` threshold, read once: queries slower than
-/// this many milliseconds are evaluated under a profile sink and their
-/// rendered [`crate::profile::QueryProfile`] is logged to stderr.
+pub(crate) fn store(on: bool) {
+    ENABLED.store(on, Ordering::Relaxed);
+}
+
+/// The `REL_SLOW_QUERY_MS` threshold: queries slower than this many
+/// milliseconds are evaluated under a profile sink and their rendered
+/// [`crate::profile::QueryProfile`] is logged to stderr.
 pub fn slow_query_ms() -> Option<u64> {
-    static SLOW: OnceLock<Option<u64>> = OnceLock::new();
-    *SLOW.get_or_init(|| {
-        std::env::var("REL_SLOW_QUERY_MS").ok()?.trim().parse::<u64>().ok()
-    })
+    crate::config::env().slow_query_ms
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@
 //! [`Prepared::execute_with`] call re-runs the compiled module against the
 //! session's *current* database snapshot with zero recompilation — for a
 //! server executing the same query shapes over changing data, compilation
-//! drops out of the hot path entirely (the `repeated_query` workload in
-//! `bench_report` tracks the win).
+//! drops out of the hot path entirely (the repo benchmark's `lookup_mix`
+//! workload measures it).
 //!
 //! `?name` placeholders in the query source are lowered by `rel-sema`
 //! into reserved `?`-prefixed singleton base relations; [`Params`] carries

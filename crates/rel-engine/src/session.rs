@@ -18,7 +18,7 @@
 //! prepared-query and explicit-transaction halves of the API.
 
 use crate::config::EngineConfig;
-use crate::durability::{self, DurabilityConfig, DurableStore};
+use crate::durability::{self, DurableStore};
 use crate::env::Env;
 use crate::eval::{EvalCtx, SharedIndexCache};
 use crate::incremental::{self, PreState};
@@ -144,10 +144,8 @@ pub struct Session {
     /// validated structurally against the database they are applied to —
     /// never trusted.
     fixpoint_cache: Arc<RwLock<FixpointCache>>,
-    /// Whether evaluation may reuse captured fixpoints incrementally.
-    /// Defaults to the `REL_INCREMENTAL` environment variable (on unless
-    /// set to `0`/`false`/`off`/`no`); [`Session::set_incremental`]
-    /// overrides per session.
+    /// Whether evaluation may reuse captured fixpoints incrementally
+    /// ([`EngineConfig::incremental`]).
     incremental: bool,
     /// The durable store backing this session, if it was opened with
     /// [`Session::open`]. Behind a `Mutex` only so read-handle methods
@@ -166,8 +164,7 @@ pub struct Session {
     /// ever receive deltas from the database it was registered against.
     watches: WatchRegistry,
     /// Delivery-buffer bound, in batches, for watches registered through
-    /// this session; defaults to `REL_WATCH_BUFFER`
-    /// ([`Session::set_watch_buffer`] overrides).
+    /// this session ([`EngineConfig::watch_buffer`]).
     watch_buffer: usize,
 }
 
@@ -201,44 +198,49 @@ impl Clone for Session {
 }
 
 impl Session {
-    /// A session over a database, with no library installed.
+    /// A session over a database, with no library installed, configured
+    /// by [`EngineConfig::from_env`]. Leaves the process-wide switches as
+    /// they are.
     pub fn new(db: Database) -> Self {
+        Session::configured(db, EngineConfig::from_env())
+    }
+
+    /// A session over `db` with an explicit [`EngineConfig`] applied; a
+    /// session's switches are fixed at construction. The process-wide
+    /// ones (columnar, metrics) are written only when `cfg` asks for a
+    /// different value than the current one. Ephemeral — the config's
+    /// durability field is only consulted by [`Session::open_with`].
+    pub fn with_config(db: Database, cfg: EngineConfig) -> Session {
+        cfg.apply_process_wide();
+        Session::configured(db, cfg)
+    }
+
+    fn configured(db: Database, cfg: EngineConfig) -> Session {
         Session {
             db,
             library: String::new(),
-            index_cache: SharedIndexCache::default(),
+            index_cache: SharedIndexCache::with_wcoj(cfg.wcoj),
             library_compiled: Arc::default(),
             library_state: RwLock::new(None),
             module_cache: Arc::new(RwLock::new(LruMap::new(MODULE_CACHE_CAP))),
             fixpoint_cache: Arc::new(RwLock::new(LruMap::new(FIXPOINT_CACHE_CAP))),
-            incremental: incremental::env_enabled(),
+            incremental: cfg.incremental,
             durability: None,
             group_commit: AtomicBool::new(false),
             watches: WatchRegistry::default(),
-            watch_buffer: watch::env_buffer(),
+            watch_buffer: cfg.watch_buffer.max(1),
         }
     }
 
-    /// A session over `db` with an explicit [`EngineConfig`] applied.
-    /// Ephemeral — the config's durability field is only consulted by
-    /// [`Session::open_with`].
-    pub fn with_config(db: Database, cfg: EngineConfig) -> Session {
-        let mut session = Session::new(db);
-        cfg.apply(&mut session);
-        session
-    }
-
     /// Open (or create) a **durable** session backed by the store
-    /// directory at `path`, with the default [`DurabilityConfig`] (fsync
-    /// policy from `REL_FSYNC`). See [`Session::open_with`].
+    /// directory at `path`, configured by [`EngineConfig::from_env`]
+    /// (fsync policy from `REL_FSYNC`). See [`Session::open_with`].
     pub fn open(path: impl AsRef<Path>) -> RelResult<Session> {
-        Session::open_with(path, DurabilityConfig::default())
+        Session::open_with(path, EngineConfig::from_env())
     }
 
-    /// Open (or create) a durable session with an explicit configuration
-    /// — a full [`EngineConfig`], or (the legacy signature, still
-    /// accepted via `Into`) just a [`DurabilityConfig`], which promotes
-    /// with every other switch at its environment default.
+    /// Open (or create) a durable session with an explicit
+    /// [`EngineConfig`]; its `durability` field tunes the store.
     ///
     /// Recovery loads the newest valid snapshot and replays the WAL tail
     /// on top of it; the resulting database is **byte-identical to a
@@ -263,10 +265,9 @@ impl Session {
     /// Note that [`Session::db_mut`] bypasses the WAL: direct mutations
     /// become durable only when the next compaction snapshots the full
     /// database. Transactions are the durable write path.
-    pub fn open_with(path: impl AsRef<Path>, cfg: impl Into<EngineConfig>) -> RelResult<Session> {
-        let cfg: EngineConfig = cfg.into();
+    pub fn open_with(path: impl AsRef<Path>, cfg: EngineConfig) -> RelResult<Session> {
         let dir = path.as_ref();
-        if !durability::durability_env_enabled() {
+        if !crate::config::env().durable {
             return Ok(Session::with_config(Database::new(), cfg));
         }
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -444,75 +445,14 @@ impl Session {
         self.fixpoint_cache = Arc::new(RwLock::new(LruMap::new(FIXPOINT_CACHE_CAP)));
     }
 
-    /// Turn incremental evaluation on or off for this session (overriding
-    /// the `REL_INCREMENTAL` environment default). With it off, every
-    /// evaluation — including [`Transaction::commit`]'s constraint
-    /// re-check — re-materializes from scratch; results are byte-identical
-    /// either way (the `incremental_equivalence` suite holds both modes to
-    /// that).
-    pub fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
-    }
-
-    /// Select how this session routes multi-atom conjunctions through the
-    /// leapfrog worst-case-optimal join kernel, overriding the `REL_WCOJ`
-    /// environment default ([`crate::WcojMode::Off`] = never,
-    /// [`crate::WcojMode::Force`] = threshold 0 — every eligible
-    /// conjunction). The mode travels with the session's shared index
-    /// cache, so it reaches every evaluator the session spawns — fixpoint
-    /// workers, transactions, prepared executes, incremental restarts.
-    /// Results are byte-identical in every mode (the `wcoj_equivalence`
-    /// suite holds all of them to that); the switch is a perf escape
-    /// hatch and test axis, like `REL_EVAL_THREADS`/`REL_INCREMENTAL`.
-    ///
-    /// Changing the mode swaps in a fresh cache handle (the
-    /// [`Session::install_library`] pattern), so — like
-    /// [`Session::set_incremental`] — the setting is per session: clones
-    /// keep their old handle, mode, and warm indexes; this session's
-    /// indexes rebuild lazily.
-    pub fn set_wcoj(&mut self, mode: crate::WcojMode) {
-        if self.index_cache.wcoj_mode() == mode {
-            return;
-        }
-        self.index_cache = SharedIndexCache::with_wcoj(mode);
-    }
-
-    /// The session's current WCOJ routing mode.
+    /// The session's WCOJ routing mode.
     pub fn wcoj_mode(&self) -> crate::WcojMode {
         self.index_cache.wcoj_mode()
-    }
-
-    /// Turn the typed columnar storage layout on or off (overriding the
-    /// `REL_COLUMNAR` environment default). Off, every kernel runs the
-    /// boxed-row fallback: set operations merge-walk `Value`s, tries
-    /// compare boxed cells, and no projections are built. Results are
-    /// byte-identical either way (the `columnar_equivalence` suite holds
-    /// both layouts to that).
-    ///
-    /// Unlike [`Session::set_wcoj`], the switch is **process-wide** — the
-    /// columnar kernels live in `rel-core`, below any session context —
-    /// so flipping it affects every session in the process (it simply
-    /// forwards to [`rel_core::set_columnar_enabled`]). Cached tries and
-    /// projections built under the previous setting remain valid (both
-    /// layouts agree on every comparison) and are replaced as relations
-    /// change generation.
-    pub fn set_columnar(&mut self, on: bool) {
-        rel_core::set_columnar_enabled(on);
     }
 
     /// Is the process-wide columnar layout switch on?
     pub fn columnar_enabled(&self) -> bool {
         rel_core::columnar_enabled()
-    }
-
-    /// Turn hot-path metrics collection on or off (overriding the
-    /// `REL_METRICS` environment default). Like [`Session::set_columnar`],
-    /// the switch is **process-wide**: the registry sits below any session
-    /// context (it simply forwards to [`crate::metrics::set_metrics`]).
-    /// Cold-path counters — commits, aborts, WAL bytes, fsyncs,
-    /// compactions, snapshot publishes — record regardless.
-    pub fn set_metrics(&mut self, on: bool) {
-        metrics::set_metrics(on);
     }
 
     /// Is the process-wide hot-path metrics switch on?
@@ -540,14 +480,6 @@ impl Session {
     /// Number of live standing queries on this session.
     pub fn watch_count(&self) -> usize {
         self.watches.len()
-    }
-
-    /// Bound the delivery buffer of watches registered *from now on*, in
-    /// batches (clamped to at least 1; existing watches keep the buffer
-    /// they were registered with). Overrides the `REL_WATCH_BUFFER`
-    /// environment default.
-    pub fn set_watch_buffer(&mut self, batches: usize) {
-        self.watch_buffer = batches.max(1);
     }
 
     /// The delivery-buffer bound new watches will be registered with.
@@ -935,11 +867,22 @@ pub fn eval_constraint(cx: &EvalCtx<'_>, c: &ConstraintIr) -> RelResult<Relation
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::{DurabilityConfig, FsyncPolicy};
+    use crate::WcojMode;
     use rel_core::database::figure1_database;
     use rel_core::tuple;
 
     fn session() -> Session {
         Session::new(figure1_database())
+    }
+
+    fn incremental_session() -> Session {
+        Session::with_config(figure1_database(), EngineConfig::from_env().incremental(true))
+    }
+
+    /// A durable-session configuration with the given store tuning.
+    fn durable(cfg: DurabilityConfig) -> EngineConfig {
+        EngineConfig::from_env().durability(cfg)
     }
 
     #[test]
@@ -1113,8 +1056,7 @@ mod tests {
         // Same module, unchanged database: the second evaluation must
         // reuse the captured fixpoint by pointer (a recompute would build
         // fresh storage for the derived relation).
-        let mut s = session();
-        s.set_incremental(true);
+        let mut s = incremental_session();
         let src = "def Joined(x, o) : \
                    exists((p) | OrderProductQuantity(o, x, _) and ProductPrice(x, p))";
         let a = s.eval(src, "Joined").unwrap();
@@ -1138,8 +1080,7 @@ mod tests {
         // Clones share the fixpoint cache, but entries are validated by
         // base-relation generations — a clone whose database diverged
         // must never be served the other clone's state.
-        let mut a = session();
-        a.set_incremental(true);
+        let a = incremental_session();
         let src = "def output(x) : exists( (y) | ProductPrice(x,y) and y > 30)";
         let mut b = a.clone();
         assert_eq!(a.query(src).unwrap().len(), 1);
@@ -1181,29 +1122,33 @@ mod tests {
         assert_eq!(out, Relation::from_tuples([tuple!["P4"], tuple!["P9"]]));
     }
 
-    #[test]
-    fn wcoj_modes_agree_on_query_results() {
-        use crate::WcojMode;
+    fn triangle_db() -> Database {
         let mut db = Database::new();
         for (a, b) in [(1, 2), (2, 3), (1, 3), (3, 4), (2, 4), (1, 4)] {
             db.insert("E", tuple![a, b]);
         }
-        let mut s = Session::new(db);
-        // Incremental reuse would serve the repeat queries from the
-        // fixpoint cache without re-evaluating — pin it off so every mode
-        // actually runs its join path.
-        s.set_incremental(false);
+        db
+    }
+
+    /// A session that actually runs its join path on every query:
+    /// incremental reuse would serve repeats from the fixpoint cache.
+    fn eager_session(mode: WcojMode) -> Session {
+        Session::with_config(triangle_db(), EngineConfig::from_env().incremental(false).wcoj(mode))
+    }
+
+    #[test]
+    fn wcoj_modes_agree_on_query_results() {
         let src = "def output(a,b,c) : E(a,b) and E(b,c) and E(a,c)";
-        s.set_wcoj(WcojMode::Off);
+        let s = eager_session(WcojMode::Off);
         let off = s.query(src).unwrap();
-        let joins_off = s.index_cache.wcoj_join_count();
-        s.set_wcoj(WcojMode::Auto);
+        assert_eq!(s.index_cache.wcoj_join_count(), 0, "Off must never route to leapfrog");
+        let s = eager_session(WcojMode::Auto);
         let auto = s.query(src).unwrap();
         assert!(
-            s.index_cache.wcoj_join_count() > joins_off,
-            "session-level set_wcoj must reach the evaluator"
+            s.index_cache.wcoj_join_count() > 0,
+            "the session's WCOJ mode must reach the evaluator"
         );
-        s.set_wcoj(WcojMode::Force);
+        let s = eager_session(WcojMode::Force);
         let forced = s.query(src).unwrap();
         assert_eq!(s.wcoj_mode(), WcojMode::Force);
         let flat = |r: &Relation| r.iter().cloned().collect::<Vec<_>>();
@@ -1213,50 +1158,41 @@ mod tests {
     }
 
     #[test]
-    fn set_columnar_layouts_agree_on_query_results() {
-        let mut db = Database::new();
-        for (a, b) in [(1, 2), (2, 3), (1, 3), (3, 4), (2, 4), (1, 4)] {
-            db.insert("E", tuple![a, b]);
-        }
-        let mut s = Session::new(db);
-        s.set_incremental(false);
+    fn columnar_layouts_agree_on_query_results() {
+        let s = eager_session(WcojMode::Auto);
         let src = "def output(a,b,c) : E(a,b) and E(b,c) and E(a,c)";
-        let prev = s.columnar_enabled();
-        s.set_columnar(true);
+        let prev = rel_core::columnar_enabled();
+        rel_core::set_columnar_enabled(true);
         assert!(s.columnar_enabled());
         let on = s.query(src).unwrap();
-        s.set_columnar(false);
+        rel_core::set_columnar_enabled(false);
         assert!(!s.columnar_enabled());
         let off = s.query(src).unwrap();
-        s.set_columnar(prev);
+        rel_core::set_columnar_enabled(prev);
         let flat = |r: &Relation| r.iter().cloned().collect::<Vec<_>>();
         assert_eq!(flat(&on), flat(&off));
         assert_eq!(on.len(), 4, "fixture has four triangles");
     }
 
     #[test]
-    fn set_wcoj_is_per_session_across_clones() {
-        // Like set_incremental, the WCOJ switch must not leak through
-        // clones: the clone keeps the handle (and mode) it was created
-        // with.
-        use crate::WcojMode;
-        let mut a = session();
-        a.set_wcoj(WcojMode::Force);
-        let mut b = a.clone();
-        a.set_wcoj(WcojMode::Off);
-        assert_eq!(a.wcoj_mode(), WcojMode::Off);
-        assert_eq!(b.wcoj_mode(), WcojMode::Force, "clone's mode must not move");
-        b.set_wcoj(WcojMode::Auto);
-        assert_eq!(a.wcoj_mode(), WcojMode::Off, "original's mode must not move");
+    fn wcoj_mode_is_per_session_and_kept_by_clones() {
+        // The WCOJ mode travels with the session's index-cache handle: a
+        // clone shares the handle and so the mode, and sessions built
+        // with other modes leave it alone.
+        let a = Session::with_config(figure1_database(), EngineConfig::from_env().wcoj(WcojMode::Force));
+        let b = a.clone();
+        let c = Session::with_config(figure1_database(), EngineConfig::from_env().wcoj(WcojMode::Off));
+        assert_eq!(b.wcoj_mode(), WcojMode::Force, "a clone keeps its original's mode");
+        assert_eq!(a.wcoj_mode(), WcojMode::Force, "another session's mode must not leak");
+        assert_eq!(c.wcoj_mode(), WcojMode::Off);
     }
 
     #[test]
     fn durable_session_roundtrips_commits() {
-        use crate::durability::FsyncPolicy;
         let dir = std::env::temp_dir()
             .join(format!("rel-sess-dur-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = DurabilityConfig { fsync: FsyncPolicy::Off, ..Default::default() };
+        let cfg = durable(DurabilityConfig { fsync: FsyncPolicy::Off, ..Default::default() });
         {
             let mut s = Session::open_with(&dir, cfg).unwrap();
             assert!(s.is_durable());
@@ -1274,17 +1210,16 @@ mod tests {
 
     #[test]
     fn durable_session_compacts_and_recovers_from_snapshot() {
-        use crate::durability::FsyncPolicy;
         use crate::wal;
         let dir = std::env::temp_dir()
             .join(format!("rel-sess-compact-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // Compact after every other commit.
-        let cfg = DurabilityConfig {
+        let cfg = durable(DurabilityConfig {
             fsync: FsyncPolicy::Off,
             compact_after_commits: 2,
             ..Default::default()
-        };
+        });
         {
             let mut s = Session::open_with(&dir, cfg).unwrap();
             for n in 1..=5 {
@@ -1312,11 +1247,10 @@ mod tests {
 
     #[test]
     fn clones_of_durable_sessions_are_ephemeral() {
-        use crate::durability::FsyncPolicy;
         let dir = std::env::temp_dir()
             .join(format!("rel-sess-clone-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = DurabilityConfig { fsync: FsyncPolicy::Off, ..Default::default() };
+        let cfg = durable(DurabilityConfig { fsync: FsyncPolicy::Off, ..Default::default() });
         let mut s = Session::open_with(&dir, cfg).unwrap();
         s.transact("def insert(:E, x) : x = 1").unwrap();
         let mut replica = s.clone();
@@ -1332,12 +1266,11 @@ mod tests {
 
     #[test]
     fn aborted_and_constraint_failed_transactions_leave_no_wal_trace() {
-        use crate::durability::FsyncPolicy;
         use crate::wal;
         let dir = std::env::temp_dir()
             .join(format!("rel-sess-abort-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = DurabilityConfig { fsync: FsyncPolicy::Off, ..Default::default() };
+        let cfg = durable(DurabilityConfig { fsync: FsyncPolicy::Off, ..Default::default() });
         let mut s = Session::open_with(&dir, cfg).unwrap();
         s.transact("def insert(:E, x) : x = 1").unwrap();
         let baseline = wal::read_log(&dir).unwrap().len();

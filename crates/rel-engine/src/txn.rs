@@ -511,8 +511,8 @@ mod tests {
         // breaks it. The incremental re-check must re-derive the cone and
         // abort — in both evaluation modes.
         for incremental in [true, false] {
-            let mut s = session();
-            s.set_incremental(incremental);
+            let cfg = crate::EngineConfig::from_env().incremental(incremental);
+            let mut s = Session::with_config(figure1_database(), cfg);
             let mut txn = s.begin();
             txn.run(
                 "def insert(:OrderProductQuantity, x, y, z) : \
@@ -576,10 +576,12 @@ mod tests {
         let lib = "def TC(x,y) : E(x,y)\n\
                    def TC(x,y) : exists((z) | E(x,z) and TC(z,y))\n\
                    ic closed(x, y) requires E(x,y) implies TC(x,y)";
-        let mut inc = Session::new(Database::new()).with_library(lib);
-        let mut full = Session::new(Database::new()).with_library(lib);
-        full.set_incremental(false);
-        assert!(inc.incremental_enabled() || std::env::var("REL_INCREMENTAL").is_ok());
+        let mode = |on| {
+            let cfg = crate::EngineConfig::from_env().incremental(on);
+            Session::with_config(Database::new(), cfg).with_library(lib)
+        };
+        let (mut inc, mut full) = (mode(true), mode(false));
+        assert!(inc.incremental_enabled() && !full.incremental_enabled());
         for s in [&mut inc, &mut full] {
             s.db_mut().insert("E", tuple![1, 2]);
             s.db_mut().insert("E", tuple![2, 3]);

@@ -27,7 +27,7 @@
 //! * A batch with [`WatchDelta::snapshot`] set replaces the subscriber's
 //!   state wholesale (`added` is the full current result, `removed` is
 //!   empty); a plain batch is applied as `state − removed ∪ added`.
-//! * The channel is bounded ([`crate::Session::set_watch_buffer`] /
+//! * The channel is bounded ([`crate::EngineConfig::watch_buffer`] /
 //!   `REL_WATCH_BUFFER` batches). A subscriber that falls behind does
 //!   **not** block commits and does not grow memory: once the buffer is
 //!   full the watch goes *lagged* — deltas stop (no sequence numbers are
@@ -55,18 +55,8 @@ use std::time::Duration;
 
 /// Default bound of a watch's delivery buffer, in batches
 /// (`REL_WATCH_BUFFER` overrides process-wide,
-/// [`crate::Session::set_watch_buffer`] per session).
+/// [`crate::EngineConfig::watch_buffer`] per session).
 pub const DEFAULT_WATCH_BUFFER: usize = 64;
-
-/// Resolve `REL_WATCH_BUFFER` (positive integer; anything else falls back
-/// to [`DEFAULT_WATCH_BUFFER`]).
-pub fn env_buffer() -> usize {
-    std::env::var("REL_WATCH_BUFFER")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(DEFAULT_WATCH_BUFFER)
-}
 
 /// One pushed batch of standing-query output changes.
 #[derive(Clone, Debug)]
@@ -390,8 +380,8 @@ mod tests {
 
     #[test]
     fn lagged_watch_coalesces_into_resync_snapshot() {
-        let mut s = tc_session();
-        s.set_watch_buffer(1);
+        let cfg = crate::EngineConfig::from_env().watch_buffer(1);
+        let mut s = Session::with_config(tc_session().db().clone(), cfg);
         let q = s.prepare(TC).unwrap();
         let w = s.watch(&q, &Params::new()).unwrap();
         // Buffer of 1 holds the initial snapshot; the next commits all

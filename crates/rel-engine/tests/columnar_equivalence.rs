@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use rel_core::{columnar_enabled, set_columnar_enabled, tuple};
 use rel_core::{Database, Name, Relation, Tuple};
 use rel_engine::durability::{DurabilityConfig, FsyncPolicy};
-use rel_engine::{materialize_with_threads, Session, SharedIndexCache, WcojMode};
+use rel_engine::{materialize_with_threads, EngineConfig, Session, SharedIndexCache, WcojMode};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -248,7 +248,7 @@ fn columnar_and_row_layouts_agree_byte_for_byte() {
         set_columnar_enabled(true);
         for name in ["E0", "S0", "W0"] {
             assert!(
-                db.get(name).expect("base relation exists").column_stats().is_some(),
+                db.get(name).expect("base relation exists").columnar().is_some(),
                 "case {case}: {name} produced no columnar projection"
             );
         }
@@ -300,18 +300,21 @@ fn run_stream(s: &mut Session) {
 fn durable_bytes_are_identical_across_layouts() {
     let _serial = SWITCH_LOCK.lock().unwrap();
     let _guard = SwitchGuard::hold();
-    let cfg = DurabilityConfig {
+    let store = DurabilityConfig {
         fsync: FsyncPolicy::Off,
         fsync_batch: 1,
         compact_after_commits: 4,
         compact_after_bytes: 1 << 20,
     };
+    // Resolved at each open, so the config carries the layout just set
+    // rather than re-asserting an earlier one.
+    let open = |dir: &PathBuf| Session::open_with(dir, EngineConfig::from_env().durability(store));
     let mut images = Vec::new();
     let mut dirs = Vec::new();
     for (tag, columnar) in [("row", false), ("col", true)] {
         set_columnar_enabled(columnar);
         let dir = temp_dir(tag);
-        let mut s = Session::open_with(&dir, cfg).expect("clean open");
+        let mut s = open(&dir).expect("clean open");
         assert!(s.is_durable(), "durability must be enabled for this test");
         run_stream(&mut s);
         drop(s);
@@ -332,9 +335,9 @@ fn durable_bytes_are_identical_across_layouts() {
     // Cross-recovery: a store written under one layout must recover to
     // the same database under the other.
     set_columnar_enabled(true);
-    let from_row = Session::open_with(&dirs[0], cfg).expect("recover row store");
+    let from_row = open(&dirs[0]).expect("recover row store");
     set_columnar_enabled(false);
-    let from_col = Session::open_with(&dirs[1], cfg).expect("recover columnar store");
+    let from_col = open(&dirs[1]).expect("recover columnar store");
     let canon = |s: &Session| -> Vec<(String, Vec<Tuple>)> {
         s.db()
             .iter()
@@ -367,16 +370,16 @@ fn session_queries_agree_with_layout_toggled_mid_stream() {
     for round in 0..4i64 {
         // Same database state, both layouts, same session caches: the
         // answers must match byte for byte.
-        s.set_columnar(true);
+        set_columnar_enabled(true);
         assert!(s.columnar_enabled());
         let cols = snap(&s.query(probe).expect("probe evaluates"));
-        s.set_columnar(false);
+        set_columnar_enabled(false);
         assert!(!s.columnar_enabled());
         let rows = snap(&s.query(probe).expect("probe evaluates"));
         assert_eq!(cols, rows, "round {round}: layouts diverged");
         // Grow the database (alternating the layout the commit runs
         // under) so generation-keyed caches churn between rounds.
-        s.set_columnar(round % 2 == 0);
+        set_columnar_enabled(round % 2 == 0);
         let mut txn = s.begin();
         txn.stage_insert("E", tuple![100 + round, round]);
         txn.commit().expect("commit succeeds");

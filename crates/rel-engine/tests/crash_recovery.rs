@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use rel_core::database::Delta;
 use rel_core::{tuple, Database, RelError, Tuple};
 use rel_engine::durability::{failpoint, DurabilityConfig, FsyncPolicy};
-use rel_engine::{wal, Session};
+use rel_engine::{wal, EngineConfig, Session};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -35,15 +35,15 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn cfg(fsync: FsyncPolicy) -> DurabilityConfig {
-    DurabilityConfig {
+fn cfg(fsync: FsyncPolicy) -> EngineConfig {
+    EngineConfig::from_env().durability(DurabilityConfig {
         fsync,
         fsync_batch: 2,
         // Compact aggressively so crash points land inside snapshot
         // writes, renames, truncations and pruning — not just appends.
         compact_after_commits: 3,
         compact_after_bytes: 1 << 20,
-    }
+    })
 }
 
 /// One staged operation inside a transaction.
@@ -120,7 +120,7 @@ fn oracle_states(txns: &[Vec<Op>]) -> Vec<Vec<(String, Vec<Tuple>)>> {
 /// Total bytes the durable layer writes for this stream (WAL + snapshots),
 /// measured by arming an effectively unlimited budget and reading back
 /// what remains.
-fn write_volume(txns: &[Vec<Op>], cfg: DurabilityConfig, dir: &PathBuf) -> u64 {
+fn write_volume(txns: &[Vec<Op>], cfg: EngineConfig, dir: &PathBuf) -> u64 {
     const HUGE: u64 = 1 << 40;
     failpoint::arm(HUGE);
     let mut s = Session::open_with(dir, cfg).expect("clean open");
@@ -291,7 +291,8 @@ fn bit_flip_mid_log_is_hard_error_with_offset() {
     let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("flip-mid");
     // No compaction: all three records must stay in the log.
-    let cfg = DurabilityConfig { fsync: FsyncPolicy::Off, ..Default::default() };
+    let cfg = EngineConfig::from_env()
+        .durability(DurabilityConfig { fsync: FsyncPolicy::Off, ..Default::default() });
     let mut s = Session::open_with(&dir, cfg).unwrap();
     for n in 0..3 {
         run_txn(&mut s, &[Op::Ins("R", n, n)]).unwrap();

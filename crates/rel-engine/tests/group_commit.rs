@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rel_core::{tuple, Database, Tuple};
 use rel_engine::durability::{self, failpoint, DurabilityConfig, FsyncPolicy};
-use rel_engine::Session;
+use rel_engine::{EngineConfig, Session};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -34,13 +34,13 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// Always-fsync config with compaction pushed out of reach, so every
 /// fsync observed below is a WAL commit sync, not a snapshot sync.
-fn always_no_compact() -> DurabilityConfig {
-    DurabilityConfig {
+fn always_no_compact() -> EngineConfig {
+    EngineConfig::from_env().durability(DurabilityConfig {
         fsync: FsyncPolicy::Always,
         fsync_batch: 32,
         compact_after_commits: u64::MAX,
         compact_after_bytes: u64::MAX,
-    }
+    })
 }
 
 fn insert(s: &mut Session, rel: &str, a: i64, b: i64) -> Result<(), rel_core::RelError> {
@@ -147,13 +147,13 @@ fn empty_and_ephemeral_groups_are_free() {
 
 /// Aggressive compaction so crash points also land inside snapshot
 /// writes that race a group window.
-fn crash_cfg() -> DurabilityConfig {
-    DurabilityConfig {
+fn crash_cfg() -> EngineConfig {
+    EngineConfig::from_env().durability(DurabilityConfig {
         fsync: FsyncPolicy::Always,
         fsync_batch: 2,
         compact_after_commits: 5,
         compact_after_bytes: 1 << 20,
-    }
+    })
 }
 
 /// A seeded stream of single-insert commits pre-partitioned into groups.

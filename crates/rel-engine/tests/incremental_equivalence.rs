@@ -3,7 +3,7 @@
 //! **and delete** deltas, must produce **byte-identical** relation state
 //! through the incremental engine ([`rel_engine::materialize_incremental`]
 //! and the session/transaction wiring) and through full
-//! re-materialization (`REL_INCREMENTAL=0` / `Session::set_incremental(false)`).
+//! re-materialization (`REL_INCREMENTAL=0` / `EngineConfig::incremental(false)`).
 //!
 //! Byte-identical means the flattened `(name, ordered tuples)` listing
 //! matches exactly — relations are sorted sets, so set equality is order
@@ -16,7 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rel_core::{Database, Name, Relation, Tuple, Value};
 use rel_engine::{
-    materialize_incremental, materialize_with_cache, materialize_with_threads, PreState, Session,
+    materialize_incremental, materialize_with_cache, materialize_with_threads, EngineConfig, PreState,
+    Session,
     SharedIndexCache,
 };
 use std::collections::BTreeMap;
@@ -137,6 +138,13 @@ fn apply_ops(db: &mut Database, ops: &[Op]) {
     }
 }
 
+/// A session over `db` with `library` installed, incremental maintenance
+/// pinned on or off.
+fn session(db: Database, library: &str, incremental: bool) -> Session {
+    let cfg = EngineConfig::from_env().incremental(incremental);
+    Session::with_config(db, cfg).with_library(library)
+}
+
 fn flatten(rels: &BTreeMap<Name, Relation>) -> Vec<(Name, Vec<Tuple>)> {
     rels.iter()
         .map(|(n, r)| (n.clone(), r.iter().cloned().collect()))
@@ -204,10 +212,8 @@ fn incremental_and_full_sessions_commit_identically() {
             continue;
         }
         covered += 1;
-        let mut inc = Session::new(db.clone()).with_library(&src);
-        inc.set_incremental(true);
-        let mut full = Session::new(db).with_library(&src);
-        full.set_incremental(false);
+        let mut inc = session(db.clone(), &src, true);
+        let mut full = session(db, &src, false);
         for round in 0..5 {
             let ops = random_ops(&mut rng, inc.db(), 3);
             // Occasionally feed a derived relation back into a base one
@@ -283,10 +289,8 @@ fn library_state_follows_random_commit_streams() {
         // Start from a state the library's constraint accepts.
         let sum = |t: &Tuple| t.values().iter().filter_map(Value::as_int).sum::<i64>();
         db.get_mut("E0").retain(|t| sum(t) < NARROW);
-        let mut inc = Session::new(db.clone()).with_library(&library);
-        inc.set_incremental(true);
-        let mut full = Session::new(db).with_library(&library);
-        full.set_incremental(false);
+        let mut inc = session(db.clone(), &library, true);
+        let mut full = session(db, &library, false);
         let step = "def insert(:E1, x, y) : x = ?a and y = ?b";
         let reads = ["def output(x, y) : P0(x, y)", "def output(x) : P3(x, _) and E2(x, _)"];
         let watch_all = |inc: &Session| -> Vec<_> {

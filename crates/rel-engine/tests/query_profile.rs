@@ -1,11 +1,11 @@
 //! Ground-truth tests for [`rel_engine::QueryProfile`]: force each
 //! join-kernel choice, cache outcome, and incremental classification
-//! through the session switches (`set_wcoj`, `set_incremental`) on
+//! through the session's configuration (WCOJ mode, incremental) on
 //! targeted programs, and check the profile reports exactly what the
 //! engine was forced to do.
 
 use rel_core::{tuple, Database, Relation, Tuple};
-use rel_engine::{FixpointOutcome, Session, StratumAction, WcojMode};
+use rel_engine::{EngineConfig, FixpointOutcome, Session, StratumAction, WcojMode};
 
 /// A dense-enough edge relation that triangles exist and recursion
 /// iterates a few rounds.
@@ -21,11 +21,19 @@ fn edges() -> Relation {
 }
 
 fn triangle_session(mode: WcojMode) -> Session {
+    triangle_session_with(EngineConfig::from_env().wcoj(mode))
+}
+
+fn triangle_session_with(cfg: EngineConfig) -> Session {
     let mut db = Database::new();
     db.set("E", edges());
-    let mut s = Session::new(db);
-    s.set_wcoj(mode);
-    s
+    Session::with_config(db, cfg)
+}
+
+/// A session whose incremental classification is under test: maintenance
+/// pinned on, so the REL_INCREMENTAL=0 CI leg measures the same thing.
+fn incremental_session(db: Database) -> Session {
+    Session::with_config(db, EngineConfig::from_env().incremental(true))
 }
 
 const TRIANGLE: &str = "def output(x, y, z) : E(x, y) and E(y, z) and E(x, z)";
@@ -60,12 +68,9 @@ fn disabled_wcoj_is_reported_as_binary() {
 
 #[test]
 fn two_atom_rule_under_defaults_is_fused() {
-    let mut db = Database::new();
-    db.set("E", edges());
-    let mut s = Session::new(db);
     // Pin Auto routing so a REL_WCOJ=force CI leg cannot drag the 2-atom
     // rule into the leapfrog kernel.
-    s.set_wcoj(WcojMode::Auto);
+    let s = triangle_session(WcojMode::Auto);
     let (rows, profile) =
         s.query_profiled("def output(x, z) : exists((y) | E(x, y) and E(y, z))").unwrap();
     assert!(!rows.is_empty());
@@ -86,10 +91,9 @@ fn two_atom_rule_under_defaults_is_fused() {
 
 #[test]
 fn trie_cache_outcomes_build_then_reuse() {
-    let mut s = triangle_session(WcojMode::Force);
     // Full materialization every run, so the second run exercises the
     // shared generation-keyed caches instead of the fixpoint cache.
-    s.set_incremental(false);
+    let s = triangle_session_with(EngineConfig::from_env().wcoj(WcojMode::Force).incremental(false));
     let (_, first) = s.query_profiled(TRIANGLE).unwrap();
     let t1 = first.totals();
     assert!(t1.trie_builds > 0, "first run must build its permuted tries: {t1:?}");
@@ -110,10 +114,7 @@ fn incremental_classification_reused_vs_recomputed() {
     let mut db = Database::new();
     db.set("E1", Relation::from_tuples(vec![tuple![1, 2], tuple![2, 3]]));
     db.set("E2", Relation::from_tuples(vec![tuple![10, 20]]));
-    let mut s = Session::new(db);
-    // The classification under test exists only with maintenance on —
-    // pin it so the REL_INCREMENTAL=0 CI leg measures the same thing.
-    s.set_incremental(true);
+    let mut s = incremental_session(db);
     let (_, first) = s.query_profiled(TWO_CONES).unwrap();
     assert_eq!(first.fixpoint, FixpointOutcome::Full, "no pre-state on the first run");
 
@@ -159,8 +160,7 @@ const TC: &str = "def TC(x, y) : E(x, y)\n\
 fn incremental_recursion_is_delta_restarted() {
     let mut db = Database::new();
     db.set("E", Relation::from_tuples(vec![tuple![1, 2], tuple![2, 3], tuple![3, 4]]));
-    let mut s = Session::new(db);
-    s.set_incremental(true);
+    let mut s = incremental_session(db);
     let (rows, first) = s.query_profiled(TC).unwrap();
     assert_eq!(first.fixpoint, FixpointOutcome::Full);
     let len_before = rows.len();

@@ -132,11 +132,11 @@ fn random_commit(rng: &mut Rng, session: &mut Session) {
 
 fn run_trial(seed: u64, library: &str, programs: Vec<(&'static str, Params)>) {
     let mut rng = Rng(seed | 1);
-    let cfg = EngineConfig::from_env().incremental(rng.flip());
-    let mut session = Session::with_config(Database::new(), cfg);
+    let mut cfg = EngineConfig::from_env().incremental(rng.flip());
     if rng.flip() {
-        session.set_watch_buffer(1);
+        cfg = cfg.watch_buffer(1);
     }
+    let mut session = Session::with_config(Database::new(), cfg);
     if !library.is_empty() {
         session.install_library(library);
     }

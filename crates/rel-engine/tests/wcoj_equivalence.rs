@@ -182,10 +182,11 @@ fn wcoj_off_auto_forced_agree_byte_for_byte() {
 }
 
 #[test]
-fn wcoj_shared_cache_across_modes_is_sound() {
-    // One shared cache handle driven through alternating modes and worker
-    // counts (the Session::set_wcoj pattern): generation-keyed tries and
-    // indexes must never leak a wrong answer across the switches.
+fn wcoj_shared_cache_is_sound_in_every_mode() {
+    // One shared cache handle per mode (the mode is fixed when a handle is
+    // made) driven through alternating worker counts and repeated runs:
+    // generation-keyed tries and indexes built by one run must never leak
+    // a wrong answer into the next.
     let mut rng = StdRng::seed_from_u64(0x7121E5);
     let (src, db) = random_conj_program(&mut rng, 3, 5);
     let module = rel_sema::compile(&src).expect("seeded program compiles");
@@ -196,22 +197,17 @@ fn wcoj_shared_cache_across_modes_is_sound() {
         1,
     )
     .expect("baseline evaluates");
-    let cache = SharedIndexCache::default();
-    for (mode, workers) in [
-        (WcojMode::Force, 1),
-        (WcojMode::Off, 4),
-        (WcojMode::Auto, 2),
-        (WcojMode::Force, 4),
-        (WcojMode::Off, 1),
-    ] {
-        cache.set_wcoj(mode);
-        let rels = materialize_with_threads(&module, &db, cache.clone(), workers)
-            .expect("evaluates");
-        assert_eq!(
-            flatten(&baseline),
-            flatten(&rels),
-            "{mode:?}/{workers}w diverged with a shared cache"
-        );
+    for mode in [WcojMode::Force, WcojMode::Off, WcojMode::Auto] {
+        let cache = SharedIndexCache::with_wcoj(mode);
+        for workers in [1, 4, 2, 4, 1] {
+            let rels = materialize_with_threads(&module, &db, cache.clone(), workers)
+                .expect("evaluates");
+            assert_eq!(
+                flatten(&baseline),
+                flatten(&rels),
+                "{mode:?}/{workers}w diverged with a shared cache"
+            );
+        }
     }
 }
 
@@ -222,7 +218,7 @@ fn wcoj_prepared_transactions_agree_with_binary_sessions() {
     // point queries and edge-inserting transactions (with a cyclic-join
     // constraint in scope): outputs and final databases must match
     // byte-for-byte.
-    use rel_engine::{Params, Session};
+    use rel_engine::{EngineConfig, Params, Session};
     let mut rng = StdRng::seed_from_u64(0xACE0FBA5E);
     let mut db = Database::new();
     db.set("E", random_edges(&mut rng, 8));
@@ -231,9 +227,7 @@ fn wcoj_prepared_transactions_agree_with_binary_sessions() {
     let lib = "def Tri(x,y,z) : E(x,y) and E(y,z) and E(x,z)\n\
                ic closing_edge(x, y, z) requires Tri(x, y, z) implies E(x, z)";
     let mk = |mode: WcojMode| {
-        let mut s = Session::new(db.clone()).with_library(lib);
-        s.set_wcoj(mode);
-        s
+        Session::with_config(db.clone(), EngineConfig::from_env().wcoj(mode)).with_library(lib)
     };
     let mut on = mk(WcojMode::Force);
     let mut off = mk(WcojMode::Off);

@@ -11,7 +11,7 @@
 //! Rel through [`rel_engine::Session`].
 
 use rel_core::gnf::{KeyShape, RelationDecl, Schema};
-use rel_core::{name, Database, Name, RelError, RelResult, Relation, Tuple, Value};
+use rel_core::{name, Database, RelError, RelResult, Tuple, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -383,25 +383,6 @@ pub fn validate(model: &ConceptualModel, db: &Database) -> RelResult<()> {
     model.to_schema().validate(db)
 }
 
-/// A wide single-relation encoding of the same data, for the E10 GNF
-/// benchmark: `ProductWide(product, name, price)` — the §2 example of a
-/// relation that is *not* in GNF.
-pub fn wide_products(n: usize) -> Relation {
-    Relation::from_tuples((0..n).map(|i| {
-        Tuple::from(vec![
-            Value::str(format!("P{i}")),
-            Value::str(format!("product {i}")),
-            Value::Int((i as i64 % 50 + 1) * 10),
-        ])
-    }))
-}
-
-/// The GNF decomposition of [`wide_products`].
-pub fn gnf_products(n: usize) -> BTreeMap<Name, Relation> {
-    rel_core::gnf::decompose_to_gnf("Product", &["Name", "Price"], &wide_products(n))
-        .expect("well-formed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,26 +495,5 @@ mod tests {
         );
         let err = validate(&model, &db).unwrap_err();
         assert!(err.to_string().contains("unique identifier"), "{err}");
-    }
-
-    #[test]
-    fn wide_vs_gnf_decomposition_agree() {
-        let wide = wide_products(20);
-        let parts = gnf_products(20);
-        assert_eq!(parts[&name("ProductName")].len(), 20);
-        assert_eq!(parts[&name("ProductPrice")].len(), 20);
-        // Rejoin the decomposition and compare with the wide relation.
-        let mut rejoined = Relation::new();
-        for t in parts[&name("ProductName")].iter() {
-            let key = &t.values()[0];
-            for p in parts[&name("ProductPrice")].partial_apply(std::slice::from_ref(key)).iter() {
-                rejoined.insert(Tuple::from(vec![
-                    key.clone(),
-                    t.values()[1].clone(),
-                    p.values()[0].clone(),
-                ]));
-            }
-        }
-        assert_eq!(rejoined, wide);
     }
 }

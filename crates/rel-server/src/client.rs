@@ -3,7 +3,7 @@
 //! One [`Client`] wraps one TCP connection; requests and responses are
 //! strictly paired, so a `Client` is `!Sync` by construction (`&mut
 //! self` everywhere) — open one per thread. Used by the `rel connect`
-//! CLI subcommand and the `bench_report` serving load generator.
+//! CLI subcommand and the repo benchmark's `serving_mix` workload.
 //!
 //! The one exception to strict pairing is the push path: once
 //! [`Client::subscribe`] registers a standing query, the server may

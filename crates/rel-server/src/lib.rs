@@ -19,7 +19,7 @@
 //!   the commit queue whose worker coalesces concurrent commits into
 //!   one fsync per group ([`rel_engine::Session::begin_commit_group`]);
 //! * [`client`] — [`Client`]: the blocking client used by the
-//!   `rel connect` CLI subcommand and the `bench_report` serving
+//!   `rel connect` CLI subcommand and the repo benchmark's `serving_mix`
 //!   workload; [`Client::subscribe`] turns a query into a live feed of
 //!   [`WatchDelta`] push frames (`rel_engine::Session::watch` over the
 //!   wire).

@@ -12,7 +12,7 @@
 //! suite lives in its own binary and serializes on [`GLOBAL_LOCK`].
 
 use rel_engine::durability::{self, failpoint, DurabilityConfig, FsyncPolicy};
-use rel_engine::Session;
+use rel_engine::{EngineConfig, Session};
 use rel_server::{Client, Server, ServerConfig};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -26,13 +26,13 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn always_no_compact() -> DurabilityConfig {
-    DurabilityConfig {
+fn always_no_compact() -> EngineConfig {
+    EngineConfig::from_env().durability(DurabilityConfig {
         fsync: FsyncPolicy::Always,
         fsync_batch: 32,
         compact_after_commits: u64::MAX,
         compact_after_bytes: u64::MAX,
-    }
+    })
 }
 
 /// All `(client, seq)` keys present in the `Burst` relation.

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rel_core::{tuple, Database, Relation, Tuple};
 use rel_engine::metrics;
-use rel_engine::Session;
+use rel_engine::{EngineConfig, Session};
 use rel_server::{Client, Server, ServerConfig};
 
 /// The metrics switch is process-wide: tests that set it take turns, or
@@ -56,8 +56,7 @@ fn assert_monotone(earlier: &metrics::MetricsSnapshot, later: &metrics::MetricsS
 #[test]
 fn counters_are_monotone_across_randomized_txn_stream() {
     let _switch = hold_switch();
-    let mut s = Session::new(seeded_db(16));
-    s.set_metrics(true);
+    let mut s = Session::with_config(seeded_db(16), EngineConfig::from_env().metrics(true));
     let mut rng = StdRng::seed_from_u64(0x0b5e_7ab1);
     let mut last = metrics::registry().snapshot();
     let mut commits = 0u64;
@@ -116,20 +115,20 @@ fn results_are_identical_with_metrics_off_on_and_toggled() {
         "def output(x, z) : exists((y) | E(x, y) and E(y, z))",
     ];
     let program = |q: &str| format!("def TC(x, y) : E(x, y)\ndef TC(x, y) : exists((z) | TC(x, z) and E(z, y))\n{q}");
-    let run = |configure: &dyn Fn(&mut Session, usize)| -> Vec<Relation> {
-        let mut s = Session::new(seeded_db(12));
+    let run = |metrics_on: &dyn Fn(usize) -> bool| -> Vec<Relation> {
+        let s = Session::new(seeded_db(12));
         let mut out = Vec::new();
         for (i, q) in queries.iter().enumerate() {
-            configure(&mut s, i);
+            metrics::set_metrics(metrics_on(i));
             out.push(s.query(&program(q)).unwrap());
         }
         out
     };
-    let off = run(&|s, _| s.set_metrics(false));
-    let on = run(&|s, _| s.set_metrics(true));
+    let off = run(&|_| false);
+    let on = run(&|_| true);
     // Toggle between every query: flipping the switch mid-stream must
     // not perturb evaluation.
-    let toggled = run(&|s, i| s.set_metrics(i % 2 == 0));
+    let toggled = run(&|i| i % 2 == 0);
     rel_engine::metrics::set_metrics(false);
     assert_eq!(off, on, "metrics on changed query results");
     assert_eq!(off, toggled, "toggling metrics mid-stream changed query results");
@@ -138,8 +137,7 @@ fn results_are_identical_with_metrics_off_on_and_toggled() {
 #[test]
 fn stats_over_wire_matches_in_process_registry() {
     let _switch = hold_switch();
-    let mut session = Session::new(seeded_db(10));
-    session.set_metrics(true);
+    let session = Session::with_config(seeded_db(10), EngineConfig::from_env().metrics(true));
     let server = Server::start(session, ServerConfig::default()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     // Generate traffic so the surfaced counters and histograms move.

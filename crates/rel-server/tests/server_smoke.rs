@@ -6,7 +6,7 @@
 
 use rel_core::database::figure1_database;
 use rel_engine::durability::{DurabilityConfig, FsyncPolicy};
-use rel_engine::{Params, Session};
+use rel_engine::{EngineConfig, Params, Session};
 use rel_server::{Client, Server, ServerConfig};
 use std::path::PathBuf;
 
@@ -19,7 +19,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn smoke_mixed_load_then_clean_shutdown_and_recovery() {
     let dir = temp_dir("mixed");
-    let cfg = DurabilityConfig { fsync: FsyncPolicy::Batch, ..DurabilityConfig::default() };
+    let cfg = EngineConfig::from_env()
+        .durability(DurabilityConfig { fsync: FsyncPolicy::Batch, ..DurabilityConfig::default() });
     let session = Session::open_with(&dir, cfg).unwrap();
     assert!(session.is_durable());
     // Seed the store with the paper's example data, as a deployment

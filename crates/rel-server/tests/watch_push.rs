@@ -6,7 +6,7 @@
 
 use rel_core::database::figure1_database;
 use rel_core::Relation;
-use rel_engine::{Params, WatchDelta};
+use rel_engine::{EngineConfig, Params, Session, WatchDelta};
 use rel_server::{Client, ErrorKind, Server, ServerConfig};
 use std::time::Duration;
 
@@ -84,8 +84,9 @@ fn lagged_subscriber_is_resynced_without_sequence_gaps() {
     // A 1-batch watch buffer plus commit bursts that group into one
     // worker pass force the lag path: buffered deltas are dropped and
     // the next in-cone commit coalesces them into a resync snapshot.
-    let mut session = rel_stdlib::with_stdlib(figure1_database());
-    session.set_watch_buffer(1);
+    let cfg = EngineConfig::from_env().watch_buffer(1);
+    let session = Session::with_config(figure1_database(), cfg)
+        .with_library(&rel_stdlib::full_library());
     let server = Server::start(session, ServerConfig::default()).unwrap();
     let addr = server.addr();
 

@@ -476,8 +476,7 @@ fn addup_disambiguation() {
                def addUp[x in Int] : 0 where x = 0\n";
     // Note: the paper's single recursive rule (guarded by x >= 0) demands
     // addUp[0] from addUp[0] and would not terminate; we use the standard
-    // base-case split (x > 0 recursive, x = 0 base). Documented in
-    // EXPERIMENTS.md E1.
+    // base-case split (x > 0 recursive, x = 0 base).
     let first = q(&format!("{src}def output : addUp[?{{11;22}}]"));
     assert_eq!(first, rel_of(&[&[i(2)], &[i(4)]]));
     let second = q(&format!("{src}def output : addUp[&{{11;22}}]"));
@@ -521,8 +520,7 @@ fn apsp_both_variants_on_a_path() {
 #[test]
 fn addup_literal_aggregation_paper_reading() {
     // The literal reading of the paper's aggregation-APSP derives both
-    // (x,x,0) and the cycle length — documented in EXPERIMENTS.md E1. On
-    // a cycle of length 2:
+    // (x,x,0) and the cycle length. On a cycle of length 2:
     let mut db = Database::new();
     for v in 0..2i64 {
         db.insert("V", Tuple::from(vec![i(v)]));
