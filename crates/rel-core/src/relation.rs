@@ -301,8 +301,8 @@ impl Relation {
 
     /// The sorted rows as a contiguous slice — the canonical layout.
     /// Index-aligned with [`Relation::columnar`] when that projection
-    /// exists; the engine's hash indexes store positions into this slice
-    /// instead of cloned tuples.
+    /// exists; the engine's permuted sorted views store positions into
+    /// this slice instead of cloned tuples.
     pub fn as_slice(&self) -> &[Tuple] {
         &self.storage.tuples
     }

@@ -46,8 +46,10 @@
 //!
 //! Every switch tunes scheduling, caching, observability, durability, or
 //! delivery — never query semantics: results are byte-identical under
-//! every configuration (held to that by the mode-matrix equivalence
-//! suites).
+//! every configuration. The differential harness (`tests/differential.rs`)
+//! holds every non-default value to the reference interpreter after each
+//! commit, and the tier-1 CI legs run the whole test corpus with each one
+//! set.
 
 use crate::durability::{DurabilityConfig, FsyncPolicy};
 use crate::eval::WcojMode;

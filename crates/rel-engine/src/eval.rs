@@ -34,7 +34,6 @@ use rel_sema::builtins as bsig;
 use rel_sema::ir::{AbsParam, Atom, EvalMode, Formula, Module, RExpr, Rule, Term, Var};
 use rel_syntax::ast::CmpOp;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Cap on demand-evaluation recursion depth (`addUp`-style top-down
@@ -74,8 +73,8 @@ pub struct EvalCtx<'a> {
     /// guards are never held across recursion, so re-entrant demand
     /// evaluation cannot deadlock.
     demand_stacks: Mutex<HashMap<std::thread::ThreadId, Vec<DemandKey>>>,
-    /// Lazy hash indexes, possibly shared across contexts (and hence
-    /// across fixpoint iterations and scheduler threads): see
+    /// Lazy permuted sorted views, possibly shared across contexts (and
+    /// hence across fixpoint iterations and scheduler threads): see
     /// [`SharedIndexCache`].
     indexes: SharedIndexCache,
     /// The profile sink installed on the cache at construction time, if
@@ -96,41 +95,16 @@ fn prefix_run<'r>(rows: &'r [Tuple], key: &[Value]) -> &'r [Tuple] {
     &rows[start..start + len]
 }
 
-/// A hash index from key values to matching rows, for key positions that
-/// are *not* a prefix of the atom's arguments (a prefix is answered by
-/// [`prefix_run`] over the sorted rows, with nothing built or cached).
-/// Entries are positions into the indexed relation's shared sorted
-/// storage rather than cloned tuples: building an index costs one key
-/// vector per row and an O(1) relation clone, never a tuple copy, and
-/// probes borrow rows straight from the shared slice.
-pub(crate) struct TupleIndex {
-    /// O(1) clone of the indexed relation (pins the shared row storage).
-    rows: Relation,
-    /// Key values → positions into `rows.as_slice()`.
-    map: HashMap<Vec<Value>, Vec<u32>>,
-}
-
-impl TupleIndex {
-    /// Borrow the rows matching `key`, straight from the shared storage.
-    fn get(&self, key: &[Value]) -> impl Iterator<Item = &Tuple> + '_ {
-        let rows = self.rows.as_slice();
-        self.map
-            .get(key)
-            .map(|positions| positions.iter().map(move |&p| &rows[p as usize]))
-            .into_iter()
-            .flatten()
-    }
-}
-/// Cache of per-(predicate, key-positions, arity) indexes. Each entry
+/// Cache of per-(predicate, column-permutation) sorted views (the implied
+/// arity is `perm.len()`): the tries of the leapfrog and fused kernels,
+/// and the key-first permutations `exec_atom` binary-searches when an
+/// atom's bound positions are not a prefix of its arguments. Each entry
 /// remembers the relation generation it was built from; a lookup against
 /// a relation with a different generation rebuilds and replaces the
-/// entry, so stale indexes are evicted in place rather than accumulated.
-type IndexCache = HashMap<(Name, Vec<usize>, usize), (u64, Arc<TupleIndex>)>;
-/// Cache of per-(predicate, column-permutation) sorted tries for the WCOJ
-/// path (the implied arity is `perm.len()`). Generation-keyed exactly
-/// like [`IndexCache`]: a permuted [`SortedRel`] is built once per
-/// relation state and shared read-only — across fixpoint iterations,
-/// scheduler worker threads, and session queries.
+/// entry, so stale views are evicted in place rather than accumulated. A
+/// permuted [`SortedRel`] is thus built once per relation state and
+/// shared read-only — across fixpoint iterations, scheduler worker
+/// threads, and session queries.
 type TrieCache = HashMap<(Name, Vec<usize>), (u64, Arc<SortedRel>)>;
 
 /// How `eval_conj` routes multi-atom conjunctions through the leapfrog
@@ -152,8 +126,9 @@ pub enum WcojMode {
     /// worst-case optimality pays).
     Auto,
     /// Threshold 0: every eligible atom group routes through leapfrog,
-    /// connected or not, however small. Used by the `wcoj-forced` CI leg
-    /// and the equivalence suites to drag the WCOJ path over every query
+    /// connected or not, however small. Used by the `kernels-forced` CI
+    /// leg and one configuration of the differential harness
+    /// (`tests/differential.rs`) to drag the WCOJ path over every query
     /// shape.
     Force,
 }
@@ -174,36 +149,33 @@ impl WcojMode {
     }
 }
 
-/// A cloneable handle to the shared evaluation caches — hash indexes and
-/// WCOJ tries — that outlive any single [`EvalCtx`]. The fixpoint engine
-/// threads one handle through every iteration's context, so indexes and
-/// tries over *unchanged* relations (the EDB, already-materialized
-/// strata, stable SCC members) are built once and reused; only entries
-/// over relations whose generation moved are rebuilt. Cloning the handle
-/// shares the caches. The handle also carries the evaluation's
-/// [`WcojMode`], fixed when the handle is made, so a session's mode
-/// reaches every evaluator the session spawns (fixpoint workers,
-/// transactions, incremental restarts) through the plumbing the cache
-/// already rides.
+/// A cloneable handle to the shared evaluation cache — permuted sorted
+/// views of relations ([`SortedRel`]: the tries of the leapfrog and fused
+/// kernels, and the key-first permutations of non-prefix atom probes) —
+/// that outlives any single [`EvalCtx`]. The fixpoint engine threads one
+/// handle through every iteration's context, so views over *unchanged*
+/// relations (the EDB, already-materialized strata, stable SCC members)
+/// are built once and reused; only entries over relations whose
+/// generation moved are rebuilt. Cloning the handle shares the cache. The
+/// handle also carries the evaluation's [`WcojMode`], fixed when the
+/// handle is made, so a session's mode reaches every evaluator the session
+/// spawns (fixpoint workers, transactions, incremental restarts) through
+/// the plumbing the cache already rides.
 ///
 /// The handle is `Arc`-of-locks-based and therefore `Send + Sync`: the
 /// parallel stratum scheduler shares one cache across all of its worker
 /// threads, and a [`crate::session::Session`] holding a handle can serve
 /// queries from multiple threads concurrently. Entries are keyed on
 /// relation *generations* (never reused; see `rel_core::Relation`), so a
-/// concurrent reader can never be handed an index that disagrees with the
+/// concurrent reader can never be handed a view that disagrees with the
 /// relation state it is evaluating against — at worst two threads build
-/// the same index once each and the last write wins.
+/// the same view once each and the last write wins.
 #[derive(Clone)]
 pub struct SharedIndexCache(Arc<CacheState>);
 
 struct CacheState {
-    indexes: RwLock<IndexCache>,
     tries: RwLock<TrieCache>,
     wcoj: WcojMode,
-    /// Count of leapfrog joins executed through this cache handle
-    /// (diagnostics/tests: proves the WCOJ path actually routed).
-    wcoj_joins: AtomicU64,
     /// Profile sink for the evaluation currently running against this
     /// handle, if one is installed (see [`crate::profile::ProfileSink`]).
     /// Contexts read it once at construction, so installing a sink
@@ -219,13 +191,7 @@ impl Default for SharedIndexCache {
 
 impl std::fmt::Debug for SharedIndexCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "SharedIndexCache({} indexes, {} tries, wcoj {:?})",
-            self.read().len(),
-            self.tries_read().len(),
-            self.wcoj_mode()
-        )
+        write!(f, "SharedIndexCache({} tries, wcoj {:?})", self.len(), self.wcoj_mode())
     }
 }
 
@@ -234,42 +200,23 @@ impl SharedIndexCache {
     /// constructor takes `REL_WCOJ`'s).
     pub fn with_wcoj(mode: WcojMode) -> Self {
         SharedIndexCache(Arc::new(CacheState {
-            indexes: RwLock::new(HashMap::new()),
             tries: RwLock::new(HashMap::new()),
             wcoj: mode,
-            wcoj_joins: AtomicU64::new(0),
             profile: RwLock::new(None),
         }))
     }
 
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, IndexCache> {
-        self.0.indexes.read().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, IndexCache> {
-        self.0.indexes.write().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn tries_read(&self) -> std::sync::RwLockReadGuard<'_, TrieCache> {
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, TrieCache> {
         self.0.tries.read().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn tries_write(&self) -> std::sync::RwLockWriteGuard<'_, TrieCache> {
+    fn write(&self) -> std::sync::RwLockWriteGuard<'_, TrieCache> {
         self.0.tries.write().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The WCOJ routing mode of every evaluator sharing this handle.
     pub fn wcoj_mode(&self) -> WcojMode {
         self.0.wcoj
-    }
-
-    /// How many leapfrog joins evaluators sharing this handle have run.
-    pub fn wcoj_join_count(&self) -> u64 {
-        self.0.wcoj_joins.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn note_wcoj_join(&self) {
-        self.0.wcoj_joins.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Install (or clear) the profile sink evaluators created against
@@ -284,44 +231,34 @@ impl SharedIndexCache {
         self.0.profile.read().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
     }
 
-    /// Number of cached entries, indexes and tries combined
-    /// (diagnostics/tests).
+    /// Number of cached entries (diagnostics/tests).
     pub fn len(&self) -> usize {
-        self.read().len() + self.tries_read().len()
+        self.read().len()
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
-        self.read().is_empty() && self.tries_read().is_empty()
+        self.read().is_empty()
     }
 
     /// Drop every entry that no longer matches the given relation state
     /// (the relation is gone — e.g. a Δ overlay — or its generation has
     /// moved on). The fixpoint engine calls this when a materialize run
-    /// finishes, so a long-lived session retains only indexes that the
+    /// finishes, so a long-lived session retains only views that the
     /// *next* run can actually hit, instead of accumulating dead ones.
     pub fn prune_stale(&self, rels: &BTreeMap<Name, Relation>) {
-        self.write().retain(|(name, _, _), (built_gen, _)| {
-            rels.get(name).map(Relation::generation) == Some(*built_gen)
-        });
-        self.tries_write().retain(|(name, _), (built_gen, _)| {
+        self.write().retain(|(name, _), (built_gen, _)| {
             rels.get(name).map(Relation::generation) == Some(*built_gen)
         });
     }
 
-    /// The generations the cached indexes and tries over `name` were
-    /// built from (diagnostics/tests).
+    /// The generations the cached views over `name` were built from
+    /// (diagnostics/tests).
     pub fn generations_for(&self, name: &str) -> Vec<u64> {
         self.read()
             .iter()
-            .filter(|((n, _, _), _)| &**n == name)
+            .filter(|((n, _), _)| &**n == name)
             .map(|(_, (built_gen, _))| *built_gen)
-            .chain(
-                self.tries_read()
-                    .iter()
-                    .filter(|((n, _), _)| &**n == name)
-                    .map(|(_, (built_gen, _))| *built_gen),
-            )
             .collect()
     }
 }
@@ -575,7 +512,7 @@ impl<'a> EvalCtx<'a> {
                     .map(|hv| vars.iter().position(|v| v == hv).expect("covered"))
                     .collect();
                 let perm = perm_from(&positions, vars.len());
-                let trie = self.trie_for(pred, &perm);
+                let trie = self.trie_for(pred, &perm, false);
                 let depths: Vec<usize> = positions
                     .iter()
                     .map(|p| perm.iter().position(|q| q == p).expect("full perm"))
@@ -595,8 +532,8 @@ impl<'a> EvalCtx<'a> {
                     perm_from(&first, vars.len())
                 };
                 let (perm_a, perm_b) = (perm_of(va), perm_of(vb));
-                let ta = self.trie_for(pa, &perm_a);
-                let tb = self.trie_for(pb, &perm_b);
+                let ta = self.trie_for(pa, &perm_a, false);
+                let tb = self.trie_for(pb, &perm_b, false);
                 let plan: Vec<(bool, usize)> = head
                     .iter()
                     .map(|hv| {
@@ -665,8 +602,9 @@ impl<'a> EvalCtx<'a> {
     /// a row), matching `reduce over ∅ = ∅`.
     ///
     /// Run boundaries and fold inputs are read from the typed columnar
-    /// projection when present (no per-row tuple-header chasing); rows are
-    /// the fallback.
+    /// projection (no per-row tuple-header chasing). A uniform arity ≥ 1
+    /// always has one while the switch is on; should the switch flip off
+    /// concurrently, the shape is declined and the generic path runs.
     fn fused_grouped_reduce(
         &self,
         rule: &Rule,
@@ -712,51 +650,27 @@ impl<'a> EvalCtx<'a> {
         if n <= k {
             return None;
         }
+        let c = rel.columnar()?;
         Some((|| {
-            if let Some(c) = rel.columnar() {
-                let cols = c.cols();
-                let rows = c.len();
-                let mut start = 0;
-                for i in 1..=rows {
-                    let boundary = i == rows
-                        || (0..k).any(|j| {
-                            cols[j].cmp_rows(i, &cols[j], start) != std::cmp::Ordering::Equal
-                        });
-                    if !boundary {
-                        continue;
-                    }
-                    let mut acc = cols[n - 1].value(start);
-                    for r in start + 1..i {
-                        acc = builtins::fold_step(canonical, &acc, &cols[n - 1].value(r))?;
-                    }
-                    let mut vals: Vec<Value> = (0..k).map(|j| cols[j].value(start)).collect();
-                    vals.push(acc);
-                    out.push(Tuple::from(vals));
-                    start = i;
+            let cols = c.cols();
+            let rows = c.len();
+            let mut start = 0;
+            for i in 1..=rows {
+                let boundary = i == rows
+                    || (0..k).any(|j| {
+                        cols[j].cmp_rows(i, &cols[j], start) != std::cmp::Ordering::Equal
+                    });
+                if !boundary {
+                    continue;
                 }
-            } else {
-                let mut run: Option<(&Tuple, Value)> = None;
-                for t in rel.iter() {
-                    match run.take() {
-                        Some((first, acc)) if first.values()[..k] == t.values()[..k] => {
-                            let acc = builtins::fold_step(canonical, &acc, &t.values()[n - 1])?;
-                            run = Some((first, acc));
-                        }
-                        prev => {
-                            if let Some((first, acc)) = prev {
-                                let mut vals = first.values()[..k].to_vec();
-                                vals.push(acc);
-                                out.push(Tuple::from(vals));
-                            }
-                            run = Some((t, t.values()[n - 1].clone()));
-                        }
-                    }
+                let mut acc = cols[n - 1].value(start);
+                for r in start + 1..i {
+                    acc = builtins::fold_step(canonical, &acc, &cols[n - 1].value(r))?;
                 }
-                if let Some((first, acc)) = run {
-                    let mut vals = first.values()[..k].to_vec();
-                    vals.push(acc);
-                    out.push(Tuple::from(vals));
-                }
+                let mut vals: Vec<Value> = (0..k).map(|j| cols[j].value(start)).collect();
+                vals.push(acc);
+                out.push(Tuple::from(vals));
+                start = i;
             }
             Ok(())
         })())
@@ -1363,14 +1277,13 @@ impl<'a> EvalCtx<'a> {
             cols.sort_unstable();
             let perm: Vec<usize> = cols.iter().map(|&(_, ci)| ci).collect();
             let vars: Vec<usize> = cols.iter().map(|&(slot, _)| slot).collect();
-            let trie = self.trie_for(pred, &perm);
+            let trie = self.trie_for(pred, &perm, false);
             if trie.is_empty() {
                 // A required positive conjunct over ∅: the conjunction is ∅.
                 return Ok(Vec::new());
             }
             tries.push((trie, vars));
         }
-        self.indexes.note_wcoj_join();
         self.note(|r| &r.wcoj_dispatches, ProfileSink::note_wcoj_join);
         // 4. Constant pins are shared across the batch; per-environment
         // pins add one singleton atom per variable the environment binds.
@@ -1811,8 +1724,8 @@ impl<'a> EvalCtx<'a> {
         // Materialized relation, tuple-variable-free atom: the bound
         // positions select the candidate rows — a binary-searched run of
         // the sorted rows when they are a prefix of the arguments (point
-        // lookups, fully bound filters, plain scans), a hash index
-        // otherwise.
+        // lookups, fully bound filters, plain scans), otherwise a run of
+        // the rows permuted key positions first (a cached sorted view).
         let has_tuple_vars = args.iter().any(Term::is_tuple_var);
         if !has_tuple_vars && !envs.is_empty() {
             let bound = batch_bound(&envs);
@@ -1827,8 +1740,11 @@ impl<'a> EvalCtx<'a> {
                 .map(|(i, _)| i)
                 .collect();
             let is_prefix = key_positions.iter().copied().eq(0..key_positions.len());
-            let index =
-                (!is_prefix).then(|| self.index_for(pred, &key_positions, args.len()));
+            let permuted = (!is_prefix).then(|| {
+                let mut perm = key_positions.clone();
+                perm.extend((0..args.len()).filter(|i| !key_positions.contains(i)));
+                self.trie_for(pred, &perm, true)
+            });
             let rel = self.relation(pred);
             let mut out = Vec::new();
             let mut key = Vec::with_capacity(key_positions.len());
@@ -1840,8 +1756,8 @@ impl<'a> EvalCtx<'a> {
                     // This env lacks a binding the batch generally has —
                     // fall back to a scan for it.
                     rel.iter().for_each(&mut unify);
-                } else if let Some(index) = &index {
-                    index.get(&key).for_each(&mut unify);
+                } else if let Some(view) = &permuted {
+                    view.prefix_rows(&key).for_each(&mut unify);
                 } else {
                     prefix_run(rel.as_slice(), &key).iter().for_each(&mut unify);
                 }
@@ -1863,66 +1779,42 @@ impl<'a> EvalCtx<'a> {
         Ok(out)
     }
 
-    /// Build (or fetch) a hash index of `pred` keyed on `positions`,
-    /// restricted to tuples of exactly `arity`. Cached entries are keyed
-    /// on the relation's generation, so an index survives for as long as
-    /// the relation is unchanged — across fixpoint iterations and even
-    /// across materialize calls when the cache handle is shared.
-    fn index_for(&self, pred: &Name, positions: &[usize], arity: usize) -> Arc<TupleIndex> {
+    /// Build (or fetch) the sorted view of `pred` with columns permuted
+    /// by `perm` (only tuples of arity `perm.len()` participate — the
+    /// atom's arity). Cached generation-keyed: the permutation sort runs
+    /// once per relation state and the resulting [`SortedRel`] is shared
+    /// read-only across fixpoint iterations, session queries, and
+    /// scheduler worker threads. `probe` names the caller for the
+    /// counters: a non-prefix atom probe in `exec_atom` ticks
+    /// `index_builds`/`index_reuses`, a leapfrog or fused kernel
+    /// `trie_builds`/`trie_reuses`.
+    fn trie_for(&self, pred: &Name, perm: &[usize], probe: bool) -> Arc<SortedRel> {
         let rel = self.rels.get(pred);
         let generation = rel.map(Relation::generation).unwrap_or(0);
-        let cache_key = (pred.clone(), positions.to_vec(), arity);
+        let cache_key = (pred.clone(), perm.to_vec());
         if let Some((built_gen, hit)) = self.indexes.read().get(&cache_key) {
             // A generation-stale entry falls through to the rebuild below
             // and is counted as a build (miss), never a reuse.
             if *built_gen == generation {
-                self.note(|r| &r.index_reuses, ProfileSink::note_index_reuse);
+                if probe {
+                    self.note(|r| &r.index_reuses, ProfileSink::note_index_reuse);
+                } else {
+                    self.note(|r| &r.trie_reuses, ProfileSink::note_trie_reuse);
+                }
                 return Arc::clone(hit);
             }
         }
-        self.note(|r| &r.index_builds, ProfileSink::note_index_build);
-        let rows = rel.cloned().unwrap_or_default();
-        let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-        for (pos, t) in rows.as_slice().iter().enumerate() {
-            if t.arity() != arity {
-                continue;
-            }
-            let k: Vec<Value> = positions.iter().map(|&i| t.values()[i].clone()).collect();
-            map.entry(k).or_default().push(pos as u32);
+        if probe {
+            self.note(|r| &r.index_builds, ProfileSink::note_index_build);
+        } else {
+            self.note(|r| &r.trie_builds, ProfileSink::note_trie_build);
         }
-        let arc = Arc::new(TupleIndex { rows, map });
-        self.indexes
-            .write()
-            .insert(cache_key, (generation, Arc::clone(&arc)));
-        arc
-    }
-
-    /// Build (or fetch) the sorted trie of `pred` with columns permuted
-    /// by `perm` (only tuples of arity `perm.len()` participate — the
-    /// atom's arity). Cached generation-keyed alongside the hash indexes:
-    /// the permutation sort runs once per relation state and the
-    /// resulting [`SortedRel`] is shared read-only across fixpoint
-    /// iterations, session queries, and scheduler worker threads —
-    /// previously every leapfrog caller re-sorted the whole relation per
-    /// join.
-    fn trie_for(&self, pred: &Name, perm: &[usize]) -> Arc<SortedRel> {
-        let rel = self.rels.get(pred);
-        let generation = rel.map(Relation::generation).unwrap_or(0);
-        let cache_key = (pred.clone(), perm.to_vec());
-        if let Some((built_gen, hit)) = self.indexes.tries_read().get(&cache_key) {
-            // Same stale-rebuild-counts-as-miss rule as `index_for`.
-            if *built_gen == generation {
-                self.note(|r| &r.trie_reuses, ProfileSink::note_trie_reuse);
-                return Arc::clone(hit);
-            }
-        }
-        self.note(|r| &r.trie_builds, ProfileSink::note_trie_build);
         let trie = Arc::new(match rel {
             Some(r) => SortedRel::permuted(r, perm),
             None => SortedRel::new(Vec::new()),
         });
         self.indexes
-            .tries_write()
+            .write()
             .insert(cache_key, (generation, Arc::clone(&trie)));
         trie
     }
@@ -2899,7 +2791,8 @@ mod tests {
             assert_eq!(envs.len(), rows.iter().filter(|t| t.starts_with(&key)).count());
         }
         assert!(cache.is_empty(), "prefix probes must not build or cache anything");
-        // A key on the second column alone is not a prefix: hash index.
+        // A key on the second column alone is not a prefix: the rows are
+        // permuted key-first once and cached.
         let by_target = atom(vec![Term::Var(0), Term::Const(Value::int(2))]);
         let envs = cx.eval_formula(&by_target, vec![Env::new(2)]).unwrap();
         assert_eq!(envs.len(), rows.iter().filter(|t| t.values()[1] == Value::int(2)).count());
@@ -2950,10 +2843,12 @@ mod tests {
         let (module, rels) = ctx_fixture();
         let run = |mode: WcojMode| -> (Vec<Env>, u64) {
             let cache = SharedIndexCache::with_wcoj(mode);
+            let sink = Arc::new(ProfileSink::new());
+            cache.set_profile(Some(Arc::clone(&sink)));
             let cx = EvalCtx::with_cache(&module, &rels, cache.clone());
             let mut envs = cx.eval_formula(&triangle_conj(), vec![Env::new(3)]).unwrap();
             envs.sort_unstable();
-            (envs, cache.wcoj_join_count())
+            (envs, sink.counts().wcoj_joins)
         };
         let (off, off_joins) = run(WcojMode::Off);
         let (auto, auto_joins) = run(WcojMode::Auto);
@@ -3046,30 +2941,31 @@ mod tests {
         let cx = EvalCtx::with_cache(&module, &rels, cache.clone());
         let e = rel_core::name("E");
 
-        // First lookups: builds.
-        cx.index_for(&e, &[0], 2);
-        cx.trie_for(&e, &[0, 1]);
+        // First lookups: builds, each counted for the caller that asked
+        // (a non-prefix probe, a kernel trie).
+        cx.trie_for(&e, &[1, 0], true);
+        cx.trie_for(&e, &[0, 1], false);
         let c = sink.counts();
         assert_eq!((c.index_builds, c.index_reuses), (1, 0));
         assert_eq!((c.trie_builds, c.trie_reuses), (1, 0));
 
         // Same generation: reuses.
-        cx.index_for(&e, &[0], 2);
-        cx.trie_for(&e, &[0, 1]);
+        cx.trie_for(&e, &[1, 0], true);
+        cx.trie_for(&e, &[0, 1], false);
         let c = sink.counts();
         assert_eq!((c.index_builds, c.index_reuses), (1, 1));
         assert_eq!((c.trie_builds, c.trie_reuses), (1, 1));
 
         // The relation's generation moves. The stale entries still sit in
-        // the cache maps, but looking them up must count as a build
+        // the cache map, but looking them up must count as a build
         // (miss) — finding a stale entry is not a hit.
         let mut rels2 = rels.clone();
         let mut moved = rels2[&e].clone();
         moved.insert(tuple![7, 8]);
         rels2.insert(e.clone(), moved);
         let cx2 = EvalCtx::with_cache(&module, &rels2, cache.clone());
-        cx2.index_for(&e, &[0], 2);
-        cx2.trie_for(&e, &[0, 1]);
+        cx2.trie_for(&e, &[1, 0], true);
+        cx2.trie_for(&e, &[0, 1], false);
         let c = sink.counts();
         assert_eq!((c.index_builds, c.index_reuses), (2, 1));
         assert_eq!((c.trie_builds, c.trie_reuses), (2, 1));

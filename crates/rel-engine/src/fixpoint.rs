@@ -63,10 +63,10 @@ pub fn materialize(module: &Module, db: &Database) -> RelResult<BTreeMap<Name, R
     materialize_with_cache(module, db, SharedIndexCache::default())
 }
 
-/// [`materialize`] with a caller-owned index cache, so lazily built hash
-/// indexes survive across fixpoint iterations *and* across materialize
+/// [`materialize`] with a caller-owned index cache, so lazily built sorted
+/// views survive across fixpoint iterations *and* across materialize
 /// calls (e.g. a session's repeated queries over the same base data).
-/// Entries are keyed on relation generations, so stale indexes are
+/// Entries are keyed on relation generations, so stale views are
 /// replaced automatically when a relation changes.
 ///
 /// Uses the parallel stratum scheduler with [`eval_threads`] workers;
@@ -972,16 +972,15 @@ mod tests {
         )
         .unwrap();
         let cache = SharedIndexCache::with_wcoj(WcojMode::Force);
-        let forced = materialize_with_threads(&module, &db, cache.clone(), 1).unwrap();
+        let sink = std::sync::Arc::new(crate::profile::ProfileSink::new());
+        cache.set_profile(Some(sink.clone()));
+        let forced = materialize_with_threads(&module, &db, cache, 1).unwrap();
         let p = rel_core::name("P");
         let a: Vec<_> = off[&p].iter().cloned().collect();
         let b: Vec<_> = forced[&p].iter().cloned().collect();
         assert_eq!(a, b, "WCOJ diverged from binary joins in a recursive stratum");
-        assert!(
-            cache.wcoj_join_count() > 1,
-            "expected leapfrog joins across semi-naive iterations, got {}",
-            cache.wcoj_join_count()
-        );
+        let joins = sink.counts().wcoj_joins;
+        assert!(joins > 1, "expected leapfrog joins across semi-naive iterations, got {joins}");
     }
 
     #[test]

@@ -55,9 +55,11 @@
 //! Because every path either reuses a provably unchanged value or re-runs
 //! the stock evaluator over correct inputs, the final relation state —
 //! contents *and* iteration order, since relations are sorted sets — is
-//! byte-identical to full re-materialization (the randomized
-//! `incremental_equivalence` suite drives inserts, deletes, aborts and
-//! library changes through both and compares row by row).
+//! byte-identical to full re-materialization — and equal to the reference
+//! interpreter, which the differential harness (`tests/differential.rs`)
+//! checks after every commit of random streams of inserts, multi-tuple
+//! deletes, aborts and library changes, with this module chained from one
+//! pre-state to the next and inside every session configuration.
 //! `REL_INCREMENTAL=0` / [`crate::EngineConfig::incremental`] fall back to
 //! full re-materialization everywhere.
 

@@ -39,11 +39,16 @@
 //! then shared read-only across fixpoint iterations and scheduler worker
 //! threads; per-join state is only the lightweight trie-cursor stack.
 //! The `REL_WCOJ` environment variable / `EngineConfig::wcoj` select the
-//! routing mode (see [`crate::eval::WcojMode`]). The kernel is also used
-//! directly by the E8 triangle benchmark via [`triangle_count_lftj`].
+//! routing mode (see [`crate::eval::WcojMode`]).
+//!
+//! The same cache also serves atoms whose bound positions are not a
+//! prefix of their arguments: `eval` permutes the relation key positions
+//! first and binary-searches the run of rows matching the key
+//! (`SortedRel::prefix_rows`).
 
 use rel_core::columnar::{Cell, Column};
 use rel_core::{Relation, Tuple, Value};
+use std::cmp::Ordering;
 
 /// A relation viewed as a sorted trie: shared row storage, a position
 /// vector sorted in permuted-column order, and (columnar mode) typed
@@ -76,17 +81,6 @@ impl SortedRel {
         let rel = Relation::from_tuples(tuples);
         let perm: Vec<usize> = (0..arity).collect();
         SortedRel::permuted(&rel, &perm)
-    }
-
-    /// Build from a [`Relation`] (which must be of uniform arity).
-    pub fn from_relation(rel: &Relation) -> Self {
-        let arity = rel.uniform_arity().unwrap_or(0);
-        assert!(
-            rel.is_empty() || rel.uniform_arity().is_some(),
-            "SortedRel requires uniform arity"
-        );
-        let perm: Vec<usize> = (0..arity).collect();
-        SortedRel::permuted(rel, &perm)
     }
 
     /// Build with columns permuted: trie depth `d` reads input column
@@ -164,6 +158,46 @@ impl SortedRel {
         self.cols.is_some()
     }
 
+    /// The source rows whose first `key.len()` trie columns equal `key`:
+    /// one contiguous run of the sorted positions, narrowed depth by depth
+    /// by binary search over the cells (raw primitives in columnar mode).
+    /// Within the run, rows keep the source relation's order.
+    pub(crate) fn prefix_rows(&self, key: &[Value]) -> impl Iterator<Item = &Tuple> + '_ {
+        let (mut lo, mut hi) = (0, self.len());
+        for (d, v) in key.iter().enumerate() {
+            (lo, hi) = self.equal_run(d, lo, hi, Cell::of_value(v));
+        }
+        let rows = self.rel.as_slice();
+        self.order[lo..hi].iter().map(move |&p| &rows[p as usize])
+    }
+
+    /// The positions in `lo..hi` — a run equal above depth `d`, so sorted
+    /// at it — whose depth-`d` cell equals `v`.
+    fn equal_run(&self, d: usize, lo: usize, hi: usize, v: Cell<'_>) -> (usize, usize) {
+        if let (Some(cols), Cell::Int(k)) = (&self.cols, v) {
+            if let Column::Int(col) = &cols[d] {
+                // An integer key over an integer column searches the raw
+                // values: the probe runs once per environment, so its
+                // constant factor shows on point-lookup workloads.
+                let run = &col[lo..hi];
+                return (lo + run.partition_point(|&x| x < k), lo + run.partition_point(|&x| x <= k));
+            }
+        }
+        let first = |below: fn(Ordering) -> bool| {
+            let (mut lo, mut hi) = (lo, hi);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if below(self.cell(mid, d).cmp_cell(v)) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        };
+        (first(Ordering::is_lt), first(Ordering::is_le))
+    }
+
     /// The cell at sorted position `pos`, trie depth `d` — a raw typed
     /// cell in columnar mode, a borrowed boxed value otherwise.
     #[inline]
@@ -221,7 +255,6 @@ pub fn merge_join_emit(
     plan: &[(bool, usize)],
     out: &mut Vec<Tuple>,
 ) {
-    use std::cmp::Ordering;
     let (na, nb) = (a.len(), b.len());
     let (mut i, mut j) = (0usize, 0usize);
     let mut pairs: Vec<(u32, u32)> = Vec::new();
@@ -557,52 +590,31 @@ fn join_level(
     }
 }
 
-/// Count triangles `E(a,b) ∧ E(b,c) ∧ E(a,c)` with leapfrog triejoin.
-pub fn triangle_count_lftj(edges: &Relation) -> usize {
-    let r_ab = SortedRel::from_relation(edges); // (a, b)
-    let r_bc = SortedRel::from_relation(edges); // (b, c)
-    let r_ac = SortedRel::from_relation(edges); // (a, c)
-    let mut atoms = [
-        JoinAtom { rel: &r_ab, vars: &[0, 1] },
-        JoinAtom { rel: &r_bc, vars: &[1, 2] },
-        JoinAtom { rel: &r_ac, vars: &[0, 2] },
-    ];
-    let mut count = 0usize;
-    leapfrog_join(&mut atoms, 3, &mut |_| count += 1);
-    count
-}
-
-/// Count triangles with a binary hash-join plan: `(E ⋈ E) ⋈ E` — the
-/// baseline whose intermediate result can be Θ(|E|²).
-pub fn triangle_count_hash(edges: &Relation) -> usize {
-    use std::collections::{HashMap, HashSet};
-    let mut by_src: HashMap<&Value, Vec<&Value>> = HashMap::new();
-    let mut edge_set: HashSet<(&Value, &Value)> = HashSet::new();
-    for t in edges.iter() {
-        let (a, b) = (&t.values()[0], &t.values()[1]);
-        by_src.entry(a).or_default().push(b);
-        edge_set.insert((a, b));
-    }
-    let mut count = 0usize;
-    // First join: E(a,b) ⋈ E(b,c) materializes all paths of length 2.
-    for t in edges.iter() {
-        let (a, b) = (&t.values()[0], &t.values()[1]);
-        if let Some(cs) = by_src.get(b) {
-            for c in cs {
-                // Second join: probe E(a,c).
-                if edge_set.contains(&(a, *c)) {
-                    count += 1;
-                }
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rel_core::tuple;
+
+    /// Count triangles `E(a,b) ∧ E(b,c) ∧ E(a,c)` with leapfrog triejoin.
+    fn triangle_count_lftj(edges: &Relation) -> usize {
+        let e = SortedRel::permuted(edges, &[0, 1]);
+        let mut atoms = [
+            JoinAtom { rel: &e, vars: &[0, 1] },
+            JoinAtom { rel: &e, vars: &[1, 2] },
+            JoinAtom { rel: &e, vars: &[0, 2] },
+        ];
+        let mut count = 0usize;
+        leapfrog_join(&mut atoms, 3, &mut |_| count += 1);
+        count
+    }
+
+    /// Count triangles by brute force: edge pairs `(a, b), (b, c)` closed
+    /// by an edge `(a, c)`.
+    fn triangle_count_brute(edges: &Relation) -> usize {
+        let closes = |a: &Value, c: &Value| edges.contains(&Tuple::from(vec![a.clone(), c.clone()]));
+        let e: Vec<&[Value]> = edges.iter().map(Tuple::values).collect();
+        e.iter().map(|ab| e.iter().filter(|bc| bc[0] == ab[1] && closes(&ab[0], &bc[1])).count()).sum()
+    }
 
     fn edges(pairs: &[(i64, i64)]) -> Relation {
         Relation::from_tuples(pairs.iter().map(|&(a, b)| tuple![a, b]))
@@ -645,18 +657,18 @@ mod tests {
         // 1→2→3→1 plus 1→3 gives exactly one directed triangle 1,2,3.
         let e = edges(&[(1, 2), (2, 3), (1, 3)]);
         assert_eq!(triangle_count_lftj(&e), 1);
-        assert_eq!(triangle_count_hash(&e), 1);
+        assert_eq!(triangle_count_brute(&e), 1);
     }
 
     #[test]
     fn no_triangles() {
         let e = edges(&[(1, 2), (2, 3), (3, 4)]);
         assert_eq!(triangle_count_lftj(&e), 0);
-        assert_eq!(triangle_count_hash(&e), 0);
+        assert_eq!(triangle_count_brute(&e), 0);
     }
 
     #[test]
-    fn lftj_matches_hash_on_random_graphs() {
+    fn lftj_matches_brute_force_on_random_graphs() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..10 {
@@ -666,7 +678,7 @@ mod tests {
                 .filter(|(a, b)| a != b)
                 .collect();
             let e = edges(&pairs);
-            assert_eq!(triangle_count_lftj(&e), triangle_count_hash(&e));
+            assert_eq!(triangle_count_lftj(&e), triangle_count_brute(&e));
         }
     }
 
@@ -740,7 +752,7 @@ mod tests {
         let off = triangle_count_lftj(&e);
         set_columnar_enabled(prev);
         assert_eq!(on, off);
-        assert_eq!(on, triangle_count_hash(&e));
+        assert_eq!(on, triangle_count_brute(&e));
     }
 
     #[test]

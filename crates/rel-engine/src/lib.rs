@@ -76,7 +76,8 @@
 //!   aggregation, generator `where`), tuple-variable matching,
 //!   demand-driven (tabled) predicate evaluation; an atom whose bound
 //!   positions are a prefix of its arguments binary-searches the sorted
-//!   rows, any other goes through a generation-keyed hash-index cache
+//!   rows, any other binary-searches the rows permuted key positions
+//!   first — a sorted view kept in the generation-keyed cache
 //!   ([`eval::SharedIndexCache`]) that survives across fixpoint
 //!   iterations and session queries;
 //! * [`fixpoint`] — stratum materialization: semi-naive for monotone

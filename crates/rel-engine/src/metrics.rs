@@ -3,9 +3,9 @@
 //! One static [`Registry`] (reachable via [`registry`]) holds a counter
 //! for every event the engine knows how to explain — commits and aborts,
 //! WAL bytes and fsyncs, cache hits and misses at every layer (module
-//! cache, fixpoint cache, hash indexes, permuted tries), incremental
-//! stratum classification, and join/rule kernel dispatch — plus a
-//! histogram of end-to-end query latency. [`Registry::snapshot`] reads
+//! cache, fixpoint cache, non-prefix probe permutations, kernel tries),
+//! incremental stratum classification, and join/rule kernel dispatch —
+//! plus a histogram of end-to-end query latency. [`Registry::snapshot`] reads
 //! the whole registry into a plain [`MetricsSnapshot`], and
 //! [`MetricsSnapshot::render`] turns it into the text block `rel`'s
 //! `:stats` surfaces print.
@@ -237,10 +237,11 @@ pub struct Registry {
     pub fixpoint_cache_hits: Counter,
     /// Fixpoint-cache misses (no pre-state, or the snapshot moved).
     pub fixpoint_cache_misses: Counter,
-    /// Hash indexes built (cache miss — including generation-stale
-    /// rebuilds, which are misses, never hits).
+    /// Key-first sorted permutations built for atoms whose bound
+    /// positions are not a prefix of their arguments (cache miss —
+    /// including generation-stale rebuilds, which are misses, never hits).
     pub index_builds: Counter,
-    /// Hash-index cache hits at the current generation.
+    /// Such permutations found in the cache at the current generation.
     pub index_reuses: Counter,
     /// Permuted sorted tries built (cache miss, stale rebuilds included).
     pub trie_builds: Counter,

@@ -4,8 +4,9 @@
 //! duration of one profiled evaluation
 //! ([`crate::Session::query_profiled`] /
 //! [`crate::Prepared::execute_profiled`]); the evaluator's dispatch
-//! points — join-kernel choice, fused-rule recognition, index/trie cache
-//! lookups, fixpoint iterations — tick its atomic counters, and the
+//! points — join-kernel choice, fused-rule recognition, sorted-view cache
+//! lookups (non-prefix probes and kernel tries), fixpoint iterations —
+//! tick its atomic counters, and the
 //! fixpoint/incremental drivers push one [`StratumProfile`] per stratum
 //! with wall time and the counter deltas attributable to it. The session
 //! assembles the result into a [`QueryProfile`].
@@ -142,9 +143,10 @@ pub struct KernelCounts {
     pub fused_rules: u64,
     /// Rules executed by the generic environment machinery.
     pub env_rules: u64,
-    /// Hash indexes built (including generation-stale rebuilds).
+    /// Key-first sorted permutations built for non-prefix atom probes
+    /// (including generation-stale rebuilds).
     pub index_builds: u64,
-    /// Hash-index cache hits at the current generation.
+    /// Such permutations found in the cache at the current generation.
     pub index_reuses: u64,
     /// Permuted tries built (including generation-stale rebuilds).
     pub trie_builds: u64,

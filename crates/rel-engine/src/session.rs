@@ -82,7 +82,7 @@ pub struct TxnOutcome {
 
 /// An interactive session: a database plus library code.
 ///
-/// The session also owns a [`SharedIndexCache`]: hash indexes and tries
+/// The session also owns a [`SharedIndexCache`]: sorted views (tries)
 /// built while evaluating one query are keyed by relation generation, so
 /// later queries and transactions over the same relation objects — base
 /// or library — reuse them, and they go when those relations do.
@@ -95,7 +95,7 @@ pub struct TxnOutcome {
 /// locks. One session can therefore serve read-only [`Session::query`] /
 /// [`Session::eval`] calls from many threads concurrently — each call
 /// snapshots the database with O(1) CoW clones, and concurrent callers
-/// share lazily built hash indexes through the generation-keyed cache.
+/// share lazily built sorted views through the generation-keyed cache.
 /// Mutation ([`Session::transact`], [`Session::db_mut`]) takes `&mut
 /// self`, so Rust's borrow rules serialize writers; wrap the session in
 /// your own `RwLock` for a mixed read/write multi-threaded server.
@@ -1092,9 +1092,9 @@ mod tests {
     #[test]
     fn commit_sheds_indexes_of_touched_relations() {
         let mut s = session();
-        // Keyed on the second column — not a prefix, so a hash index is
-        // built and cached at the pre-commit generation (a first-column
-        // lookup probes the sorted rows and caches nothing).
+        // Keyed on the second column — not a prefix, so a key-first
+        // permutation is built and cached at the pre-commit generation (a
+        // first-column lookup probes the sorted rows and caches nothing).
         s.query("def output(y) : ProductPrice(\"P1\", y)").unwrap();
         assert!(s.index_cache.generations_for("ProductPrice").is_empty());
         s.query("def output(x) : ProductPrice(x, 10)").unwrap();
@@ -1139,13 +1139,11 @@ mod tests {
     #[test]
     fn wcoj_modes_agree_on_query_results() {
         let src = "def output(a,b,c) : E(a,b) and E(b,c) and E(a,c)";
-        let s = eager_session(WcojMode::Off);
-        let off = s.query(src).unwrap();
-        assert_eq!(s.index_cache.wcoj_join_count(), 0, "Off must never route to leapfrog");
-        let s = eager_session(WcojMode::Auto);
-        let auto = s.query(src).unwrap();
+        let (off, profile) = eager_session(WcojMode::Off).query_profiled(src).unwrap();
+        assert_eq!(profile.totals().wcoj_joins, 0, "Off must never route to leapfrog");
+        let (auto, profile) = eager_session(WcojMode::Auto).query_profiled(src).unwrap();
         assert!(
-            s.index_cache.wcoj_join_count() > 0,
+            profile.totals().wcoj_joins > 0,
             "the session's WCOJ mode must reach the evaluator"
         );
         let s = eager_session(WcojMode::Force);

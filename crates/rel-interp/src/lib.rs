@@ -49,8 +49,34 @@ pub struct Interp {
 }
 
 /// An environment: every binding is a relation (Fig. 3 — variables map to
-/// singleton relations).
-type Env = BTreeMap<String, Relation>;
+/// singleton relations). The relations in scope, shadowed by the
+/// variables bound so far (innermost last); extending it copies only the
+/// variables.
+#[derive(Clone)]
+struct Env<'a> {
+    rels: &'a BTreeMap<String, Relation>,
+    vars: Vec<(&'a str, Relation)>,
+}
+
+impl<'a> Env<'a> {
+    fn get(&self, x: &str) -> Option<&Relation> {
+        match self.vars.iter().rev().find(|(n, _)| *n == x) {
+            Some((_, r)) => Some(r),
+            None => self.rels.get(x),
+        }
+    }
+
+    fn contains_key(&self, x: &str) -> bool {
+        self.get(x).is_some()
+    }
+
+    /// This environment with `x` bound to `r`.
+    fn bind(&self, x: &'a str, r: Relation) -> Env<'a> {
+        let mut env = self.clone();
+        env.vars.push((x, r));
+        env
+    }
+}
 
 impl Interp {
     /// Interpret `src` against `db` and return the `output` relation.
@@ -61,6 +87,13 @@ impl Interp {
     /// Interpret `src` against `db` and return an arbitrary defined
     /// relation.
     pub fn run_relation(db: &Database, src: &str, want: &str) -> RelResult<Relation> {
+        Ok(Self::run_all(db, src)?.remove(want).unwrap_or_default())
+    }
+
+    /// Interpret `src` against `db` and return every relation at the
+    /// fixpoint — the base relations and each one `src` defines — from a
+    /// single evaluation.
+    pub fn run_all(db: &Database, src: &str) -> RelResult<BTreeMap<String, Relation>> {
         let program = rel_syntax::parse_program(src)?;
         let sp = specialize(&program)?;
 
@@ -89,8 +122,7 @@ impl Interp {
             max_width,
             budget: std::cell::Cell::new(DEFAULT_BUDGET),
         };
-        let rels = interp.fixpoint(db, &sp)?;
-        Ok(rels.get(want).cloned().unwrap_or_default())
+        interp.fixpoint(db, &sp)
     }
 
     fn spend(&self, amount: u64) -> RelResult<()> {
@@ -169,7 +201,7 @@ impl Interp {
     /// tuples.
     fn eval_rule(&self, rels: &BTreeMap<String, Relation>, def: &Def) -> RelResult<Relation> {
         let mut out = Relation::new();
-        let env: Env = rels.clone();
+        let env = Env { rels, vars: Vec::new() };
         self.enum_bindings(&env, &def.params, &mut Vec::new(), &mut |env2, prefix| {
             let body = self.eval(env2, &def.body)?;
             match def.style {
@@ -191,12 +223,12 @@ impl Interp {
 
     /// Enumerate all bindings of a binding list over the universe,
     /// invoking `k(env, prefix-values)` for each.
-    fn enum_bindings(
+    fn enum_bindings<'a>(
         &self,
-        env: &Env,
-        bindings: &[Binding],
+        env: &Env<'a>,
+        bindings: &'a [Binding],
         prefix: &mut Vec<Value>,
-        k: &mut dyn FnMut(&Env, &[Value]) -> RelResult<()>,
+        k: &mut dyn FnMut(&Env<'a>, &[Value]) -> RelResult<()>,
     ) -> RelResult<()> {
         let Some((first, rest)) = bindings.split_first() else {
             return k(env, prefix);
@@ -206,11 +238,8 @@ impl Interp {
                 let name = first.var_name().unwrap_or("_anon");
                 for v in &self.universe {
                     self.spend(1)?;
-                    let mut env2 = env.clone();
-                    env2.insert(
-                        name.to_string(),
-                        Relation::singleton(Tuple::from(vec![v.clone()])),
-                    );
+                    let env2 =
+                        env.bind(name, Relation::singleton(Tuple::from(vec![v.clone()])));
                     prefix.push(v.clone());
                     self.enum_bindings(&env2, rest, prefix, k)?;
                     prefix.pop();
@@ -222,11 +251,7 @@ impl Interp {
                 for t in d.iter().filter(|t| t.arity() == 1) {
                     self.spend(1)?;
                     let v = &t.values()[0];
-                    let mut env2 = env.clone();
-                    env2.insert(
-                        x.clone(),
-                        Relation::singleton(Tuple::from(vec![v.clone()])),
-                    );
+                    let env2 = env.bind(x, Relation::singleton(Tuple::from(vec![v.clone()])));
                     prefix.push(v.clone());
                     self.enum_bindings(&env2, rest, prefix, k)?;
                     prefix.pop();
@@ -236,8 +261,7 @@ impl Interp {
             Binding::TupleVar(x) => {
                 for t in self.all_tuples()? {
                     self.spend(1)?;
-                    let mut env2 = env.clone();
-                    env2.insert(x.clone(), Relation::singleton(t.clone()));
+                    let env2 = env.bind(x, Relation::singleton(t.clone()));
                     let before = prefix.len();
                     prefix.extend(t.values().iter().cloned());
                     self.enum_bindings(&env2, rest, prefix, k)?;
@@ -284,7 +308,7 @@ impl Interp {
     // ------------------------------------------------------------------
 
     /// ⟦e⟧µ.
-    pub fn eval(&self, env: &Env, e: &Expr) -> RelResult<Relation> {
+    fn eval<'a>(&self, env: &Env<'a>, e: &'a Expr) -> RelResult<Relation> {
         self.spend(1)?;
         match e {
             // J c Kµ = {⟨c⟩}
@@ -349,7 +373,14 @@ impl Interp {
             }
             Expr::App { func, args, style } => self.eval_app(env, func, args, *style),
             // Connectives on boolean relations (Fig. 4).
-            Expr::And(a, b) => Ok(self.eval(env, a)?.intersect(&self.eval(env, b)?)),
+            // ∅ ∩ ⟦b⟧µ = ∅: an empty left side settles the conjunction.
+            Expr::And(a, b) => {
+                let l = self.eval(env, a)?;
+                if l.is_empty() {
+                    return Ok(l);
+                }
+                Ok(l.intersect(&self.eval(env, b)?))
+            }
             Expr::Or(a, b) => Ok(self.eval(env, a)?.union(&self.eval(env, b)?)),
             Expr::Not(a) => Ok(bool_rel(!self.eval(env, a)?.is_true())),
             Expr::Implies(a, b) => {
@@ -386,35 +417,12 @@ impl Interp {
                 let r = self.eval(env, b)?;
                 Ok(bool_rel(cmp_rels(*op, &l, &r)))
             }
-            Expr::Arith(op, a, b) => {
-                let l = self.eval(env, a)?;
-                let r = self.eval(env, b)?;
-                let mut out = Relation::new();
-                for x in l.iter().filter(|t| t.arity() == 1) {
-                    for y in r.iter().filter(|t| t.arity() == 1) {
-                        self.spend(1)?;
-                        let solved = rel_engine::builtins::solve(
-                            op_name(*op),
-                            &[
-                                Some(x.values()[0].clone()),
-                                Some(y.values()[0].clone()),
-                                None,
-                            ],
-                        )?;
-                        for t in solved {
-                            out.insert(Tuple::from(vec![t[2].clone()]));
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            Expr::Neg(a) => self.eval(
-                env,
-                &Expr::Arith(
-                    rel_syntax::ast::ArithOp::Mul,
-                    Box::new(Expr::Lit(Value::Int(-1))),
-                    a.clone(),
-                ),
+            Expr::Arith(op, a, b) => self.arith(*op, &self.eval(env, a)?, &self.eval(env, b)?),
+            // J -e Kµ = J -1 * e Kµ
+            Expr::Neg(a) => self.arith(
+                rel_syntax::ast::ArithOp::Mul,
+                &Relation::singleton(Tuple::from(vec![Value::Int(-1)])),
+                &self.eval(env, a)?,
             ),
             Expr::DotJoin(a, b) => {
                 let l = self.eval(env, a)?;
@@ -446,14 +454,33 @@ impl Interp {
         }
     }
 
+    /// Arithmetic over two value sets: every pairing through the
+    /// builtin's forward mode.
+    fn arith(&self, op: rel_syntax::ast::ArithOp, l: &Relation, r: &Relation) -> RelResult<Relation> {
+        let mut out = Relation::new();
+        for x in l.iter().filter(|t| t.arity() == 1) {
+            for y in r.iter().filter(|t| t.arity() == 1) {
+                self.spend(1)?;
+                let solved = rel_engine::builtins::solve(
+                    op_name(op),
+                    &[Some(x.values()[0].clone()), Some(y.values()[0].clone()), None],
+                )?;
+                for t in solved {
+                    out.insert(Tuple::from(vec![t[2].clone()]));
+                }
+            }
+        }
+        Ok(out)
+    }
+
     /// Application semantics (Figs. 3–4): full applications intersect with
     /// `{⟨⟩}`; partial applications produce suffix relations; argument
     /// expressions are first-order value sets.
-    fn eval_app(
+    fn eval_app<'a>(
         &self,
-        env: &Env,
-        func: &Expr,
-        args: &[Arg],
+        env: &Env<'a>,
+        func: &'a Expr,
+        args: &'a [Arg],
         style: AppStyle,
     ) -> RelResult<Relation> {
         // `reduce` is the built-in second-order primitive (§5.2).
@@ -472,7 +499,7 @@ impl Interp {
             Expr::Ident(n) if !env.contains_key(n) && rel_sema::builtins::is_builtin(n) => {
                 return self.eval_builtin_app(env, n, args, style);
             }
-            other => self.eval(other_env(env), other)?,
+            other => self.eval(env, other)?,
         };
         let mut result = f;
         for a in args {
@@ -524,11 +551,11 @@ impl Interp {
         }
     }
 
-    fn eval_builtin_app(
+    fn eval_builtin_app<'a>(
         &self,
-        env: &Env,
+        env: &Env<'a>,
         name: &str,
-        args: &[Arg],
+        args: &'a [Arg],
         style: AppStyle,
     ) -> RelResult<Relation> {
         let sig = rel_sema::builtins::lookup(name).expect("checked by caller");
@@ -574,7 +601,7 @@ impl Interp {
     /// Builtin op names (`add`, `minimum`, …) denote their infinite
     /// relations and are applied directly; other ops evaluate to a finite
     /// function table.
-    fn reduce_with(&self, env: &Env, op: &Expr, input: &Relation) -> RelResult<Relation> {
+    fn reduce_with<'a>(&self, env: &Env<'a>, op: &'a Expr, input: &Relation) -> RelResult<Relation> {
         if let Expr::Ident(n) = op {
             if !env.contains_key(n) {
                 if let Some(canonical) = rel_sema::builtins::canonical(n) {
@@ -615,11 +642,6 @@ impl Interp {
         }
         Ok(Relation::singleton(Tuple::from(vec![acc])))
     }
-}
-
-/// Identity helper (keeps borrowck simple at one call site).
-fn other_env(env: &Env) -> &Env {
-    env
 }
 
 /// Stratum info computed on the specialized program by reusing the precise

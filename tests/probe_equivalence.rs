@@ -1,7 +1,8 @@
 //! Differential test of the two ways `exec_atom` finds candidate rows —
 //! the binary-searched run of the sorted rows (bound positions are a
-//! prefix of the arguments) and the hash index (any other positions) —
-//! against each other and against the reference interpreter.
+//! prefix of the arguments) and the binary-searched run of a cached
+//! key-first permutation of them (any other positions) — against each
+//! other and against the reference interpreter.
 //!
 //! Every generated rule is evaluated three ways: by the engine as
 //! written, by the engine over *column-reversed twins* of every relation
@@ -128,8 +129,8 @@ fn body(g: &mut Gen) -> Vec<(bool, String, Vec<String>)> {
     atoms
 }
 
-/// Run one case; returns how many hash indexes the rule built as
-/// written and over the reversed twins.
+/// Run one case; returns how many key-first permutations the rule built
+/// as written and over the reversed twins.
 fn run_case(seed: u64) -> (u64, u64) {
     let mut g = Gen(seed | 1);
     let db = database(&mut g);
@@ -167,13 +168,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1))]
 
     #[test]
-    fn prefix_probe_hash_index_and_interpreter_agree(first in 1u64..u64::MAX) {
+    fn prefix_and_permuted_probes_and_interpreter_agree(first in 1u64..u64::MAX) {
         rel::engine::metrics::set_metrics(true);
         let mut g = Gen(first);
         let builds: Vec<(u64, u64)> = (0..400).map(|_| run_case(g.next())).collect();
         // The same atoms took both paths: reversing the columns turns a
-        // probed prefix into an indexed suffix and back, so some rules
-        // build indexes only as written and some only over the twins.
+        // probed prefix into a permuted suffix and back, so some rules
+        // build permutations only as written and some only over the twins.
         let probed_as_written = builds.iter().filter(|(plain, twin)| plain < twin).count();
         let probed_reversed = builds.iter().filter(|(plain, twin)| plain > twin).count();
         prop_assert!(probed_as_written >= 20, "{} of 400", probed_as_written);
