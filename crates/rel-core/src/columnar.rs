@@ -31,35 +31,15 @@
 //! when both sides share one dictionary allocation). Dictionaries are
 //! immutable — a relation mutation drops the whole projection, and the
 //! next build re-interns — which is what keeps the code ordering stable.
-//!
-//! # The columnar switch
-//!
-//! [`columnar_enabled`] gates every columnar fast path in the workspace.
-//! It is on by default and flipped with [`set_columnar_enabled`] — the
-//! switch is **process-wide** (the kernels live below any session
-//! context). This crate never reads the environment: the engine's
-//! configuration reader applies `REL_COLUMNAR`. Both layouts produce
-//! byte-identical results; the switch exists as an escape hatch and test
-//! axis.
 
 use crate::tuple::Tuple;
 use crate::value::{EntityId, OrdF64, Value};
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrd};
 use std::sync::Arc;
 
-static COLUMNAR: AtomicBool = AtomicBool::new(true);
-
-/// Are columnar fast paths enabled? Process-wide; on by default.
-pub fn columnar_enabled() -> bool {
-    COLUMNAR.load(AtomicOrd::Relaxed)
-}
-
-/// Flip the process-wide columnar switch (see module docs). Results are
-/// byte-identical either way; this only selects which kernels run.
-pub fn set_columnar_enabled(on: bool) {
-    COLUMNAR.store(on, AtomicOrd::Relaxed);
-}
+// Inert (the layout is always columnar); kept only for benchmark/src/harness.rs.
+#[doc(hidden)]
+pub fn set_columnar_enabled(_on: bool) {}
 
 /// A dictionary-encoded string column: `codes[i]` indexes into `dict`,
 /// and codes are assigned in lexicographic dictionary order, so

@@ -37,7 +37,8 @@ pub mod relation;
 pub mod tuple;
 pub mod value;
 
-pub use columnar::{columnar_enabled, set_columnar_enabled};
+#[doc(hidden)]
+pub use columnar::set_columnar_enabled;
 pub use convert::{FromRow, FromValue};
 pub use database::Database;
 pub use error::{RelError, RelResult};

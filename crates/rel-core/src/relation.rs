@@ -19,11 +19,12 @@
 //! relations: per-column `Vec<i64>` / `Vec<OrdF64>` / `Vec<EntityId>` /
 //! dictionary-encoded strings, with per-column fallback to boxed values
 //! for mixed columns (see the `columnar` module docs for the layout,
-//! fallback rules, and the interner ordering guarantee). When the
-//! process-wide `REL_COLUMNAR` switch is on, set operations between two
-//! projected relations merge-walk raw primitives instead of boxed
-//! `Value`s; the row path remains for mixed-arity relations and as the
-//! `REL_COLUMNAR=0` opt-out, and both paths produce identical bytes.
+//! fallback rules, and the interner ordering guarantee). Set operations
+//! between two relations whose projections are already cached merge-walk
+//! raw primitives instead of boxed `Value`s; the row walk remains for
+//! every other operand (mixed-arity, nullary and empty relations, and
+//! relations nothing has projected yet), and both produce identical
+//! bytes.
 //!
 //! # Copy-on-write invariants
 //!
@@ -48,7 +49,7 @@
 //!    whenever storage is rewritten; both are pure functions of the tuple
 //!    set.
 
-use crate::columnar::{columnar_enabled, Columnar};
+use crate::columnar::Columnar;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::BTreeSet;
@@ -220,13 +221,10 @@ impl Relation {
     }
 
     /// The typed columnar projection of this relation, built lazily and
-    /// cached on the shared storage. `None` when the process-wide
-    /// columnar switch is off, the relation is empty / of mixed arity, or
-    /// all tuples are nullary (see [`crate::columnar`] for the rules).
+    /// cached on the shared storage. `None` when the relation is empty /
+    /// of mixed arity, or all tuples are nullary (see [`crate::columnar`]
+    /// for the rules).
     pub fn columnar(&self) -> Option<&Arc<Columnar>> {
-        if !columnar_enabled() {
-            return None;
-        }
         self.storage
             .columnar
             .get_or_init(|| Columnar::build(&self.storage.tuples).map(Arc::new))
@@ -242,9 +240,6 @@ impl Relation {
     /// [`Relation::columnar`] and pay for the build once per relation
     /// state.
     fn peek_columnar(&self) -> Option<&Arc<Columnar>> {
-        if !columnar_enabled() {
-            return None;
-        }
         self.storage.columnar.get()?.as_ref()
     }
 
@@ -632,7 +627,7 @@ fn merge_append(rows: &mut Vec<Tuple>, new: Vec<Tuple>) {
 /// sides *already* carry a typed projection, walk row indices comparing
 /// raw typed cells ([`Columnar::cmp_rows`]) instead of boxed `Value`s.
 /// `None` when either side lacks a built projection (mixed arity, empty,
-/// never columnar-scanned, or the switch is off) — callers fall back to
+/// or never columnar-scanned) — callers fall back to
 /// the boxed-row merge-walk. Projections are deliberately not forced
 /// here: building one is strictly more work than the row walk, so the
 /// typed path only pays off when the inputs were already columnar-hot.
@@ -1005,11 +1000,7 @@ mod tests {
     #[test]
     fn columnar_projection_matches_rows() {
         let r = opq();
-        let Some(c) = r.columnar() else {
-            // Switch forced off in this process: nothing to check.
-            assert!(!crate::columnar::columnar_enabled());
-            return;
-        };
+        let c = r.columnar().expect("a uniform-arity relation projects");
         assert_eq!(c.len(), r.len());
         assert_eq!(c.arity(), 3);
         for (i, t) in r.iter().enumerate() {
@@ -1024,22 +1015,25 @@ mod tests {
         let mut r = opq();
         let _ = r.columnar();
         r.insert(tuple!["O9", "P9", 9]);
-        if let Some(c) = r.columnar() {
-            assert_eq!(c.len(), 5, "projection must track the mutated rows");
-        }
+        let c = r.columnar().expect("a uniform-arity relation projects");
+        assert_eq!(c.len(), 5, "projection must track the mutated rows");
     }
 
     #[test]
     fn set_ops_agree_across_layouts() {
-        use crate::columnar::{columnar_enabled, set_columnar_enabled};
-        let a = Relation::from_tuples((0..50).map(|i| tuple![i, i % 7])); // Int columns
-        let b = Relation::from_tuples((25..75).map(|i| tuple![i, i % 7]));
-        let prev = columnar_enabled();
-        set_columnar_enabled(true);
+        // Operands with no cached projection take the row merge-walk;
+        // the same contents after `.columnar()` take the typed one.
+        let rows = || {
+            let a = Relation::from_tuples((0..50).map(|i| tuple![i, i % 7])); // Int columns
+            let b = Relation::from_tuples((25..75).map(|i| tuple![i, i % 7]));
+            (a, b)
+        };
+        let (a, b) = rows();
         let (u1, i1, m1) = (a.union(&b), a.intersect(&b), a.minus(&b));
-        set_columnar_enabled(false);
+        assert!(a.peek_columnar().is_none() && b.peek_columnar().is_none());
+        let (a, b) = rows();
+        assert!(a.columnar().is_some() && b.columnar().is_some());
         let (u2, i2, m2) = (a.union(&b), a.intersect(&b), a.minus(&b));
-        set_columnar_enabled(prev);
         assert_eq!(u1, u2);
         assert_eq!(i1, i2);
         assert_eq!(m1, m2);

@@ -5,10 +5,10 @@
 //! [crate-level table](crate#environment-variables)) is read here, once
 //! per process, and parsed by one parser per kind of value: an on/off
 //! switch (`0`/`false`/`off`/`no` against `1`/`true`/`on`/`yes`, trimmed,
-//! any case), a positive count, a number, and the two enums built on the
-//! switch spelling ([`WcojMode`], [`crate::FsyncPolicy`]). The modules
-//! that own a mechanism take their defaults from here and never look at
-//! the environment themselves.
+//! any case), a positive count, a number, and two enums ([`WcojMode`],
+//! and [`crate::FsyncPolicy`], which is built on the switch spelling).
+//! The modules that own a mechanism take their defaults from here and
+//! never look at the environment themselves.
 //!
 //! * [`EngineConfig::from_env`] is the whole resolved table as one value —
 //!   exactly what a plain [`Session::new`](crate::Session::new) is built
@@ -22,27 +22,21 @@
 //! use rel_core::Database;
 //! use rel_engine::{EngineConfig, Session, WcojMode};
 //!
-//! let cfg = EngineConfig::from_env().incremental(false).wcoj(WcojMode::Force);
+//! let cfg = EngineConfig::from_env().wcoj(WcojMode::Force).watch_buffer(3);
 //! let s = Session::with_config(Database::new(), cfg);
-//! assert!(!s.incremental_enabled());
 //! assert_eq!(s.wcoj_mode(), WcojMode::Force);
+//! assert_eq!(s.watch_buffer(), 3);
 //! ```
 //!
-//! Two switches are **process-wide** because their machinery sits below
-//! any session: the columnar layout ([`rel_core::set_columnar_enabled`],
-//! default on) and hot-path metrics ([`metrics::set_metrics`], default
-//! off). `REL_COLUMNAR` / `REL_METRICS` override those defaults once,
-//! when the environment is first resolved (by the first session, index
-//! cache, or [`EngineConfig::from_env`]), and only when set.
-//! `REL_METRICS` never undoes an explicit [`metrics::set_metrics`], which
-//! resolves the environment before it stores, and neither variable
-//! undoes what a session's [`EngineConfig`] writes, for the same reason.
-//! `REL_COLUMNAR` can only turn the layout off, so an explicit
-//! `set_columnar_enabled(false)` always stands; rel-core cannot see the
-//! environment, so only a `set_columnar_enabled(true)` made before that
-//! first resolution gives way to `REL_COLUMNAR=0`. Constructing a session
-//! never writes either switch unless its [`EngineConfig`] asks for a
-//! different value.
+//! One switch is **process-wide** because its machinery sits below any
+//! session: hot-path metrics ([`metrics::set_metrics`], default off).
+//! `REL_METRICS` overrides that default once, when the environment is
+//! first resolved (by the first session, index cache, or
+//! [`EngineConfig::from_env`]), and only when set. It never undoes an
+//! explicit [`metrics::set_metrics`], which resolves the environment
+//! before it stores, nor what a session's [`EngineConfig`] writes, for
+//! the same reason. Constructing a session never writes the switch
+//! unless its [`EngineConfig`] asks for a different value.
 //!
 //! Every switch tunes scheduling, caching, observability, durability, or
 //! delivery — never query semantics: results are byte-identical under
@@ -62,17 +56,17 @@ use std::sync::OnceLock;
 /// corresponding `REL_*` environment variables.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Incremental view maintenance (`REL_INCREMENTAL`, default on).
-    /// Per-session.
+    // Inert, always `true`; kept only for benchmark/src/harness.rs's struct literal.
+    #[doc(hidden)]
     pub incremental: bool,
     /// Routing of multi-atom conjunctions through the leapfrog WCOJ
     /// kernel (`REL_WCOJ`, default [`WcojMode::Auto`]). Per-session.
     pub wcoj: WcojMode,
-    /// Typed columnar storage layout (`REL_COLUMNAR`, default on).
-    /// **Process-wide** — the kernels live below the session layer.
+    // Inert, always `true`; kept only for benchmark/src/harness.rs's struct literal.
+    #[doc(hidden)]
     pub columnar: bool,
     /// Hot-path metrics collection (`REL_METRICS`, default off).
-    /// **Process-wide**, like [`EngineConfig::columnar`].
+    /// **Process-wide** — the counters live below the session layer.
     pub metrics: bool,
     /// How many [`crate::WatchDelta`] batches a standing query buffers
     /// before its subscriber is considered lagging and is resynced with
@@ -97,35 +91,23 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Every switch as the environment resolves it (the process-wide
-    /// ones at their current value): the configuration of a plain
+    /// one at its current value): the configuration of a plain
     /// [`Session::new`](crate::Session::new).
     pub fn from_env() -> Self {
         let env = env();
         EngineConfig {
-            incremental: env.incremental,
+            incremental: true,
             wcoj: env.wcoj,
-            columnar: rel_core::columnar_enabled(),
+            columnar: true,
             metrics: metrics::enabled(),
             watch_buffer: env.watch_buffer,
             durability: DurabilityConfig::default(),
         }
     }
 
-    /// Override the incremental-maintenance switch (builder-style).
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
-    }
-
     /// Override the WCOJ routing mode (builder-style).
     pub fn wcoj(mut self, mode: WcojMode) -> Self {
         self.wcoj = mode;
-        self
-    }
-
-    /// Override the (process-wide) columnar-layout switch (builder-style).
-    pub fn columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
         self
     }
 
@@ -149,15 +131,12 @@ impl EngineConfig {
         self
     }
 
-    /// Write the process-wide switches, each only when the requested
-    /// value differs from the current one, so a configuration taken from
-    /// [`EngineConfig::from_env`] leaves them alone. The environment is
+    /// Write the process-wide switch, only when the requested value
+    /// differs from the current one, so a configuration taken from
+    /// [`EngineConfig::from_env`] leaves it alone. The environment is
     /// resolved first, so it cannot later undo what this writes.
     pub(crate) fn apply_process_wide(&self) {
         env();
-        if rel_core::columnar_enabled() != self.columnar {
-            rel_core::set_columnar_enabled(self.columnar);
-        }
         if metrics::enabled() != self.metrics {
             metrics::set_metrics(self.metrics);
         }
@@ -167,10 +146,7 @@ impl EngineConfig {
 /// The `REL_*` variables the engine reads, parsed.
 #[derive(Debug)]
 pub(crate) struct Env {
-    pub(crate) incremental: bool,
     pub(crate) wcoj: WcojMode,
-    /// `Some` only when `REL_COLUMNAR` is set to a switch value.
-    columnar: Option<bool>,
     /// `Some` only when `REL_METRICS` is set to a switch value.
     metrics: Option<bool>,
     pub(crate) watch_buffer: usize,
@@ -183,15 +159,12 @@ pub(crate) struct Env {
 }
 
 /// The environment, resolved on first use and kept for the process. The
-/// first resolution also applies `REL_COLUMNAR` / `REL_METRICS` to the
-/// process-wide switches (module docs).
+/// first resolution also applies `REL_METRICS` to the process-wide switch
+/// (module docs).
 pub(crate) fn env() -> &'static Env {
     static ENV: OnceLock<Env> = OnceLock::new();
     ENV.get_or_init(|| {
         let env = Env::read(|name| std::env::var(name).ok());
-        if env.columnar == Some(false) {
-            rel_core::set_columnar_enabled(false);
-        }
         if let Some(on) = env.metrics {
             metrics::store(on);
         }
@@ -217,13 +190,10 @@ impl Env {
         let flag = |name: &str| get(name).as_deref().and_then(switch);
         let count = |name: &str| get(name)?.parse::<usize>().ok().filter(|&n| n >= 1);
         Env {
-            incremental: flag("REL_INCREMENTAL").unwrap_or(true),
             wcoj: match get("REL_WCOJ").as_deref() {
                 Some("force" | "always") => WcojMode::Force,
-                Some(v) if switch(v) == Some(false) => WcojMode::Off,
                 _ => WcojMode::Auto,
             },
-            columnar: flag("REL_COLUMNAR"),
             metrics: flag("REL_METRICS"),
             watch_buffer: count("REL_WATCH_BUFFER").unwrap_or(DEFAULT_WATCH_BUFFER),
             fsync: match get("REL_FSYNC").as_deref() {
@@ -260,9 +230,9 @@ mod tests {
     #[test]
     fn unset_environment_gives_the_defaults() {
         let env = read(&[]);
-        assert!(env.incremental && env.durable);
+        assert!(env.durable);
         assert_eq!(env.wcoj, WcojMode::Auto);
-        assert_eq!((env.columnar, env.metrics), (None, None));
+        assert_eq!(env.metrics, None);
         assert_eq!(env.watch_buffer, DEFAULT_WATCH_BUFFER);
         assert_eq!(env.fsync, FsyncPolicy::Batch);
         assert!(env.eval_threads >= 1);
@@ -273,33 +243,24 @@ mod tests {
     fn one_switch_spelling_for_every_variable() {
         for off in ["0", " off ", "FALSE", "no"] {
             let env = read(&[
-                ("REL_INCREMENTAL", off),
-                ("REL_WCOJ", off),
-                ("REL_COLUMNAR", off),
                 ("REL_METRICS", off),
                 ("REL_FSYNC", off),
                 ("REL_DURABILITY", off),
             ]);
-            assert!(!env.incremental && !env.durable, "{off:?}");
-            assert_eq!(env.wcoj, WcojMode::Off);
-            assert_eq!((env.columnar, env.metrics), (Some(false), Some(false)));
+            assert!(!env.durable, "{off:?}");
+            assert_eq!(env.metrics, Some(false));
             assert_eq!(env.fsync, FsyncPolicy::Off);
         }
         for on in ["1", "true", " On ", "yes"] {
-            let env = read(&[("REL_COLUMNAR", on), ("REL_METRICS", on), ("REL_WCOJ", on)]);
-            assert_eq!(
-                (env.columnar, env.metrics),
-                (Some(true), Some(true)),
-                "{on:?}"
-            );
-            assert_eq!(env.wcoj, WcojMode::Auto);
+            let env = read(&[("REL_METRICS", on), ("REL_DURABILITY", on)]);
+            assert_eq!((env.metrics, env.durable), (Some(true), true), "{on:?}");
         }
-        let env = read(&[("REL_COLUMNAR", "maybe"), ("REL_INCREMENTAL", "maybe")]);
+        let env = read(&[("REL_METRICS", "maybe"), ("REL_DURABILITY", "maybe")]);
         assert_eq!(
-            env.columnar, None,
+            env.metrics, None,
             "an unknown spelling leaves the switch alone"
         );
-        assert!(env.incremental);
+        assert!(env.durable);
     }
 
     #[test]
@@ -308,6 +269,7 @@ mod tests {
             ("force", WcojMode::Force),
             ("ALWAYS", WcojMode::Force),
             ("auto", WcojMode::Auto),
+            ("0", WcojMode::Auto),
         ] {
             assert_eq!(read(&[("REL_WCOJ", v)]).wcoj, mode, "{v:?}");
         }
@@ -333,11 +295,9 @@ mod tests {
     #[test]
     fn builder_overrides_reach_the_session() {
         let cfg = EngineConfig::from_env()
-            .incremental(false)
             .wcoj(WcojMode::Force)
             .watch_buffer(3);
         let s = Session::with_config(Database::new(), cfg);
-        assert!(!s.incremental_enabled());
         assert_eq!(s.wcoj_mode(), WcojMode::Force);
         assert_eq!(s.watch_buffer(), 3);
         let s = Session::with_config(Database::new(), cfg.watch_buffer(0));

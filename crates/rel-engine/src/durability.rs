@@ -349,47 +349,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn failpoint_budget_cuts_writes_at_the_byte() {
-        // Serialize against any other failpoint-using test in this binary.
-        let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let dir = std::env::temp_dir().join(format!("rel-fp-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.bin");
-        failpoint::arm(5);
-        let mut f = FailpointFile::new(File::create(&path).unwrap());
-        let err = f.write_all(b"0123456789").unwrap_err();
-        assert!(failpoint::is_crash(&err.to_string()), "{err}");
-        drop(f);
-        failpoint::disarm();
-        assert_eq!(std::fs::read(&path).unwrap(), b"01234");
-        // Metadata ops are also gated while exhausted.
-        failpoint::arm(0);
-        let f = FailpointFile::new(File::create(dir.join("t2.bin")).unwrap());
-        assert!(f.sync_data().is_err());
-        assert!(guarded_rename(&path, &dir.join("t3.bin")).is_err());
-        failpoint::disarm();
-        assert!(f.sync_data().is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disarmed_is_passthrough() {
-        let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        failpoint::disarm();
-        assert!(!failpoint::armed());
-        assert_eq!(failpoint::take(1000), 1000);
-        assert!(failpoint::check_op().is_ok());
-    }
-
-    #[test]
     fn fsync_policy_default_is_batch() {
         // Cannot assert from_env here (the CI matrix sets REL_FSYNC), but
         // the config default must wire the policy through.
         let cfg = DurabilityConfig::default();
         assert!(cfg.fsync_batch > 0 && cfg.compact_after_commits > 0);
     }
-
-    /// The failpoint budget is process-global; tests that arm it must not
-    /// interleave.
-    pub(super) static FAILPOINT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 }

@@ -12,23 +12,20 @@
 //! the value part per resulting environment and emitting
 //! `⟨params⟩ · value-tuple` head tuples (Fig. 3 of the paper).
 //!
-//! Under the typed columnar layout (`REL_COLUMNAR`, on by default) a
-//! handful of whole-rule shapes bypass the environment machinery
+//! A handful of whole-rule shapes bypass the environment machinery
 //! entirely via *fused kernels*: one- and two-atom conjunctive rules run
 //! as trie projections / merge joins over typed columns
 //! (`try_fused_formula`), and the aggregation shapes the stdlib
 //! lowers to — grouped `Reduce` over a prefix application, and
 //! `LeftOverride` with a constant default — run as single sorted walks
 //! (`try_fused_open`). Every fused path is bit-identical to the
-//! generic evaluator; `REL_COLUMNAR=0` and `REL_WCOJ=force` disable
-//! them.
+//! generic evaluator; `REL_WCOJ=force` disables them.
 
 use crate::builtins;
 use crate::env::{Env, EnvVal};
 use crate::leapfrog::{leapfrog_join, merge_join_emit, project_emit, JoinAtom, SortedRel};
 use crate::metrics;
 use crate::profile::ProfileSink;
-use rel_core::columnar::columnar_enabled;
 use rel_core::{Name, RelError, RelResult, Relation, Tuple, Value};
 use rel_sema::builtins as bsig;
 use rel_sema::ir::{AbsParam, Atom, EvalMode, Formula, Module, RExpr, Rule, Term, Var};
@@ -112,14 +109,10 @@ type TrieCache = HashMap<(Name, Vec<usize>), (u64, Arc<SortedRel>)>;
 ///
 /// The default comes from the `REL_WCOJ` environment variable (resolved
 /// by [`crate::config`]); [`crate::EngineConfig::wcoj`] sets it per
-/// session. All modes produce byte-identical results — the switch exists
-/// as an escape hatch and a test axis, mirroring `REL_EVAL_THREADS` and
-/// `REL_INCREMENTAL`.
+/// session. Both modes produce byte-identical results. Conjunctions that
+/// leave no eligible group take the greedy binary-join scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WcojMode {
-    /// Never use the WCOJ kernel: every conjunct goes through the greedy
-    /// binary-join scheduler.
-    Off,
     /// Route a conjunction through leapfrog when at least
     /// [`WCOJ_MIN_ATOMS`] eligible atoms form a variable-connected group
     /// (the cyclic-join shapes — triangles, paths-with-closure — where
@@ -138,11 +131,9 @@ pub enum WcojMode {
 pub const WCOJ_MIN_ATOMS: usize = 3;
 
 impl WcojMode {
-    /// Smallest eligible atom group this mode hands to leapfrog;
-    /// `usize::MAX` disables the path.
+    /// Smallest eligible atom group this mode hands to leapfrog.
     fn min_atoms(self) -> usize {
         match self {
-            WcojMode::Off => usize::MAX,
             WcojMode::Auto => WCOJ_MIN_ATOMS,
             WcojMode::Force => 1,
         }
@@ -416,11 +407,10 @@ impl<'a> EvalCtx<'a> {
     /// head plan itself; the final [`Relation::from_tuples`] build
     /// canonicalizes order and duplicates either way.
     ///
-    /// Gated on the columnar switch (`REL_COLUMNAR=0` keeps the legacy
-    /// row pipeline) and off under [`WcojMode::Force`], which exists to
-    /// drag every eligible conjunction through the leapfrog kernel for
-    /// testing. Returns `false` (emitting nothing) when the shape is
-    /// ineligible and the generic evaluator should proceed.
+    /// Off under [`WcojMode::Force`], which exists to drag every eligible
+    /// conjunction through the leapfrog kernel for testing. Returns
+    /// `false` (emitting nothing) when the shape is ineligible and the
+    /// generic evaluator should proceed.
     fn try_fused_formula(
         &self,
         rule: &Rule,
@@ -428,7 +418,7 @@ impl<'a> EvalCtx<'a> {
         seed: &Env,
         out: &mut Vec<Tuple>,
     ) -> bool {
-        if !columnar_enabled() || self.indexes.wcoj_mode() == WcojMode::Force {
+        if self.indexes.wcoj_mode() == WcojMode::Force {
             return false;
         }
         // Only top-level materialization: a seeded env (demand evaluation,
@@ -569,7 +559,7 @@ impl<'a> EvalCtx<'a> {
         seed: &Env,
         out: &mut Vec<Tuple>,
     ) -> Option<RelResult<()>> {
-        if !columnar_enabled() || self.indexes.wcoj_mode() == WcojMode::Force {
+        if self.indexes.wcoj_mode() == WcojMode::Force {
             return None;
         }
         // Only top-level materialization; a seeded env takes the generic path.
@@ -602,9 +592,8 @@ impl<'a> EvalCtx<'a> {
     /// a row), matching `reduce over ∅ = ∅`.
     ///
     /// Run boundaries and fold inputs are read from the typed columnar
-    /// projection (no per-row tuple-header chasing). A uniform arity ≥ 1
-    /// always has one while the switch is on; should the switch flip off
-    /// concurrently, the shape is declined and the generic path runs.
+    /// projection (no per-row tuple-header chasing), which a non-empty
+    /// relation of uniform arity ≥ 1 always has.
     fn fused_grouped_reduce(
         &self,
         rule: &Rule,
@@ -1136,9 +1125,6 @@ impl<'a> EvalCtx<'a> {
     fn plan_wcoj(&self, pending: &[&Formula], bound: &BTreeSet<Var>) -> Option<Vec<usize>> {
         let mode = self.indexes.wcoj_mode();
         let min_atoms = mode.min_atoms();
-        if min_atoms == usize::MAX {
-            return None;
-        }
         let elig: Vec<(usize, BTreeSet<Var>)> = pending
             .iter()
             .enumerate()
@@ -2838,8 +2824,17 @@ mod tests {
         Formula::Conj(vec![e(0, 1), e(1, 2), e(0, 2)])
     }
 
+    /// The environment binding slots `0..` to `vals`.
+    fn bound(vals: &[i64]) -> Env {
+        let mut env = Env::new(vals.len());
+        for (v, &x) in vals.iter().enumerate() {
+            env.bind(v as Var, EnvVal::Val(Value::int(x)));
+        }
+        env
+    }
+
     #[test]
-    fn wcoj_triangle_matches_binary_path_and_routes() {
+    fn wcoj_triangle_matches_brute_force_and_routes() {
         let (module, rels) = ctx_fixture();
         let run = |mode: WcojMode| -> (Vec<Env>, u64) {
             let cache = SharedIndexCache::with_wcoj(mode);
@@ -2850,13 +2845,10 @@ mod tests {
             envs.sort_unstable();
             (envs, sink.counts().wcoj_joins)
         };
-        let (off, off_joins) = run(WcojMode::Off);
         let (auto, auto_joins) = run(WcojMode::Auto);
         let (forced, forced_joins) = run(WcojMode::Force);
-        assert_eq!(off.len(), 1, "fixture has exactly one triangle");
-        assert_eq!(off, auto);
-        assert_eq!(off, forced);
-        assert_eq!(off_joins, 0, "Off must never touch the kernel");
+        assert_eq!(auto, vec![bound(&[1, 2, 3])], "fixture has exactly one triangle");
+        assert_eq!(auto, forced);
         assert!(auto_joins >= 1, "a 3-atom cyclic conjunction must route in Auto");
         assert!(forced_joins >= 1);
     }
@@ -2864,7 +2856,7 @@ mod tests {
     #[test]
     fn wcoj_respects_prebound_variables() {
         // Seed the batch with a = 1 bound: the WCOJ path must pin it via
-        // a singleton atom and produce exactly the binary path's answers.
+        // a singleton atom and produce exactly the one triangle through 1.
         let (module, rels) = ctx_fixture();
         let mut seed = Env::new(3);
         seed.bind(0, EnvVal::Val(Value::int(1)));
@@ -2875,7 +2867,8 @@ mod tests {
             envs.sort_unstable();
             envs
         };
-        assert_eq!(run(WcojMode::Off), run(WcojMode::Force));
+        assert_eq!(run(WcojMode::Force), vec![bound(&[1, 2, 3])]);
+        assert_eq!(run(WcojMode::Auto), run(WcojMode::Force));
         // A binding with no triangle: empty either way.
         let mut dead = Env::new(3);
         dead.bind(0, EnvVal::Val(Value::int(3)));
@@ -2891,7 +2884,8 @@ mod tests {
     fn wcoj_excludes_ineligible_atoms() {
         // Repeated in-atom variables and numeric constants stay on the
         // binary path (wcoj_atom rejects them); the conjunction as a
-        // whole must still agree across modes.
+        // whole must still agree across modes. Under Auto the two
+        // eligible atoms are too few to route, so Auto is the binary path.
         let (module, rels) = ctx_fixture();
         let e = |args: Vec<Term>| {
             Formula::Atom(Atom { pred: rel_core::name("E"), args })
@@ -2902,14 +2896,20 @@ mod tests {
             e(vec![Term::Const(Value::int(1)), Term::Var(2)]),
             e(vec![Term::Var(3), Term::Var(3)]), // no loops: empties the result
         ]);
-        let run = |mode: WcojMode| {
+        let run = |f: &Formula, mode: WcojMode| {
             let cx =
                 EvalCtx::with_cache(&module, &rels, SharedIndexCache::with_wcoj(mode));
-            let mut envs = cx.eval_formula(&f, vec![Env::new(4)]).unwrap();
+            let mut envs = cx.eval_formula(f, vec![Env::new(4)]).unwrap();
             envs.sort_unstable();
             envs
         };
-        assert_eq!(run(WcojMode::Off), run(WcojMode::Force));
+        assert!(run(&f, WcojMode::Auto).is_empty());
+        assert!(run(&f, WcojMode::Force).is_empty());
+        // Without the loop atom: the path 1 -> 2 -> 3 and its x = 1 end.
+        let Formula::Conj(atoms) = &f else { unreachable!() };
+        let open = Formula::Conj(atoms[..3].to_vec());
+        assert_eq!(run(&open, WcojMode::Auto), run(&open, WcojMode::Force));
+        assert_eq!(run(&open, WcojMode::Auto).len(), 1);
     }
 
     #[test]

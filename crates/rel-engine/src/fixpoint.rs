@@ -949,7 +949,7 @@ mod tests {
     }
 
     #[test]
-    fn wcoj_delta_variants_match_binary_in_recursive_strata() {
+    fn wcoj_delta_variants_match_brute_force_in_recursive_strata() {
         // A 3-atom recursive body: semi-naive evaluation rewrites one
         // occurrence per variant to the Δ relation, and the WCOJ planner
         // must pick the rewritten atom group up exactly like any other
@@ -960,27 +960,35 @@ mod tests {
              def P(x,y) : exists((z, w) | E(x,z) and P(z,w) and E(w,y))",
         )
         .unwrap();
+        let edges = [(1, 2), (2, 3), (3, 4), (4, 2), (2, 5)];
         let mut db = Database::new();
-        for (a, b) in [(1, 2), (2, 3), (3, 4), (4, 2), (2, 5)] {
+        for (a, b) in edges {
             db.insert("E", tuple![a, b]);
         }
-        let off = materialize_with_threads(
-            &module,
-            &db,
-            SharedIndexCache::with_wcoj(WcojMode::Off),
-            1,
-        )
-        .unwrap();
-        let cache = SharedIndexCache::with_wcoj(WcojMode::Force);
-        let sink = std::sync::Arc::new(crate::profile::ProfileSink::new());
-        cache.set_profile(Some(sink.clone()));
-        let forced = materialize_with_threads(&module, &db, cache, 1).unwrap();
-        let p = rel_core::name("P");
-        let a: Vec<_> = off[&p].iter().cloned().collect();
-        let b: Vec<_> = forced[&p].iter().cloned().collect();
-        assert_eq!(a, b, "WCOJ diverged from binary joins in a recursive stratum");
-        let joins = sink.counts().wcoj_joins;
-        assert!(joins > 1, "expected leapfrog joins across semi-naive iterations, got {joins}");
+        // The fixpoint by brute force: apply both rules until nothing new.
+        let mut want: BTreeSet<(i64, i64)> = edges.into_iter().collect();
+        loop {
+            let step: Vec<(i64, i64)> = edges
+                .iter()
+                .flat_map(|&(x, z)| want.iter().filter(move |p| p.0 == z).map(move |p| (x, p.1)))
+                .flat_map(|(x, w)| edges.iter().filter(move |e| e.0 == w).map(move |e| (x, e.1)))
+                .collect();
+            let before = want.len();
+            want.extend(step);
+            if want.len() == before {
+                break;
+            }
+        }
+        let want = Relation::from_tuples(want.into_iter().map(|(a, b)| tuple![a, b]));
+        for mode in [WcojMode::Auto, WcojMode::Force] {
+            let cache = SharedIndexCache::with_wcoj(mode);
+            let sink = std::sync::Arc::new(crate::profile::ProfileSink::new());
+            cache.set_profile(Some(sink.clone()));
+            let got = materialize_with_threads(&module, &db, cache, 1).unwrap();
+            assert_eq!(got[&rel_core::name("P")], want, "{mode:?} diverged in a recursive stratum");
+            let joins = sink.counts().wcoj_joins;
+            assert!(joins > 1, "{mode:?}: expected leapfrog joins across semi-naive iterations, got {joins}");
+        }
     }
 
     #[test]

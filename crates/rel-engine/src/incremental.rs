@@ -60,8 +60,6 @@
 //! checks after every commit of random streams of inserts, multi-tuple
 //! deletes, aborts and library changes, with this module chained from one
 //! pre-state to the next and inside every session configuration.
-//! `REL_INCREMENTAL=0` / [`crate::EngineConfig::incremental`] fall back to
-//! full re-materialization everywhere.
 
 use crate::env::Env;
 use crate::eval::{EvalCtx, SharedIndexCache};
@@ -142,23 +140,22 @@ pub struct IncrementalStats {
 
 /// Bring a module's materialization up to date with `db`, the cheapest
 /// sound way: `pre` itself when the generations it recorded still match,
-/// incremental maintenance from it when `incremental` allows, a full
-/// materialization otherwise — the one decision behind the session's
-/// library state and its per-module fixpoint cache alike.
+/// incremental maintenance from it otherwise, a full materialization
+/// without a `pre` — the one decision behind the session's library state
+/// and its per-module fixpoint cache alike.
 pub(crate) fn advance(
     module: &Module,
     pre: Option<&PreState>,
-    incremental: bool,
     db: &Database,
     cache: &SharedIndexCache,
 ) -> RelResult<(BTreeMap<Name, Relation>, FixpointOutcome)> {
     Ok(match pre {
         Some(pre) if pre.touched_in(db).is_empty() => (pre.state.clone(), FixpointOutcome::CacheReuse),
-        Some(pre) if incremental => {
+        Some(pre) => {
             let (rels, stats) = materialize_incremental_with_stats(module, pre, db, cache.clone())?;
             (rels, FixpointOutcome::Incremental(stats))
         }
-        _ => (materialize_with_cache(module, db, cache.clone())?, FixpointOutcome::Full),
+        None => (materialize_with_cache(module, db, cache.clone())?, FixpointOutcome::Full),
     })
 }
 

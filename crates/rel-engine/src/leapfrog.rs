@@ -18,8 +18,9 @@
 //! columns *in trie order* (permuted, sorted — a cheap typed gather), so
 //! every seek, gallop, and key comparison in the join runs over raw
 //! primitives (`i64`, order-preserving floats, dictionary codes) via
-//! [`Cell`] instead of boxed `Value` tags. Both layouts produce identical
-//! join output; `REL_COLUMNAR=0` forces the row fallback.
+//! [`Cell`] instead of boxed `Value` tags. Relations with no projection
+//! (mixed-arity, nullary or empty ones) take the row fallback; both
+//! layouts produce identical join output.
 //!
 //! The same sorted-trie machinery backs the *fused rule kernels*
 //! ([`project_emit`], [`merge_join_emit`]): single-rule shapes the
@@ -64,7 +65,7 @@ pub struct SortedRel {
     perm: Vec<usize>,
     /// Typed columns in trie order (`cols[d][i]` = cell at depth `d` of
     /// the `i`-th sorted row); present when the source relation has a
-    /// columnar projection and the switch is on.
+    /// columnar projection.
     cols: Option<Vec<Column>>,
     arity: usize,
 }
@@ -736,23 +737,16 @@ mod tests {
     }
 
     #[test]
-    fn columnar_and_row_tries_join_identically() {
+    fn columnar_tries_count_triangles_like_brute_force() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        use rel_core::columnar::{columnar_enabled, set_columnar_enabled};
         let mut rng = StdRng::seed_from_u64(11);
         let pairs: Vec<(i64, i64)> = (0..300)
             .map(|_| (rng.gen_range(0..40), rng.gen_range(0..40)))
             .filter(|(a, b)| a != b)
             .collect();
         let e = edges(&pairs);
-        let prev = columnar_enabled();
-        set_columnar_enabled(true);
-        let on = triangle_count_lftj(&e);
-        set_columnar_enabled(false);
-        let off = triangle_count_lftj(&e);
-        set_columnar_enabled(prev);
-        assert_eq!(on, off);
-        assert_eq!(on, triangle_count_brute(&e));
+        assert!(SortedRel::permuted(&e, &[0, 1]).is_columnar());
+        assert_eq!(triangle_count_lftj(&e), triangle_count_brute(&e));
     }
 
     #[test]

@@ -59,8 +59,8 @@
 //! * [`session`] — the session itself: database + libraries + library
 //!   state + module cache + shared index cache; `Session` is `Send +
 //!   Sync` and serves queries from many threads;
-//! * [`config`] — [`EngineConfig`]: every engine switch (incremental,
-//!   WCOJ, columnar, metrics, watch buffer, durability) as one builder,
+//! * [`config`] — [`EngineConfig`]: every engine switch (WCOJ, metrics,
+//!   watch buffer, durability) as one builder,
 //!   and the engine's only reader of the environment:
 //!   [`EngineConfig::from_env`] is the whole `REL_*` table below, resolved
 //!   once per process, and [`Session::with_config`] /
@@ -95,8 +95,7 @@
 //!   reuse outside it, delta-seeded semi-naive restart for monotone
 //!   recursion inside it. The one maintenance implementation: it advances
 //!   the session's library state at commit and each module's own strata
-//!   on top of it; `REL_INCREMENTAL=0` falls back to full
-//!   re-materialization;
+//!   on top of it;
 //! * [`builtins`] — implementations of the infinite built-in relations
 //!   with invertible modes (`add(x, 5, z)` solves for `x`);
 //! * [`leapfrog`] — the leapfrog-triejoin worst-case-optimal join kernel
@@ -104,9 +103,10 @@
 //!   `eval`'s conjunction scheduler routes qualifying multi-atom groups
 //!   (triangles, cyclic joins) through it, over permuted sorted tries
 //!   cached generation-keyed in the shared index cache. The routing mode
-//!   is `REL_WCOJ` / [`EngineConfig::wcoj`] ([`WcojMode`]): `0` disables,
-//!   `force` drags every eligible conjunction through the kernel; all
-//!   modes produce byte-identical results;
+//!   is `REL_WCOJ` / [`EngineConfig::wcoj`] ([`WcojMode`]): `auto` routes
+//!   connected groups of at least [`WCOJ_MIN_ATOMS`] atoms, `force` drags
+//!   every eligible conjunction through the kernel; both modes produce
+//!   byte-identical results;
 //! * [`metrics`] / [`profile`] — engine-wide observability: a
 //!   process-wide registry of atomic counters and latency histograms
 //!   (zero-cost no-ops unless `REL_METRICS` / [`metrics::set_metrics`]
@@ -139,9 +139,7 @@
 //! | Variable | Values | Default | Effect |
 //! |----------|--------|---------|--------|
 //! | `REL_EVAL_THREADS` | positive integer | # cores (≤ 8) | Worker threads per fixpoint run ([`eval_threads`]); `1` is fully sequential. |
-//! | `REL_INCREMENTAL` | switch | on | Incremental view maintenance of the library state and of each query's own strata ([`EngineConfig::incremental`] per session). Results are byte-identical either way. |
-//! | `REL_WCOJ` | switch off, `force`/`always`, else auto | auto | Routing of multi-atom conjunctions through the leapfrog WCOJ kernel ([`EngineConfig::wcoj`] per session). Results are byte-identical in every mode. |
-//! | `REL_COLUMNAR` | switch off | on | Typed columnar storage layout under `Relation` ([`rel_core::columnar`]): set-operation merges, trie seeks, and sort keys run over schema-specialized columns (`Vec<i64>`, dictionary-encoded strings, …) instead of boxed `Value` rows. **Process-wide**, not per session, because the kernels live below the session layer: [`rel_core::set_columnar_enabled`] flips it at runtime; the variable can only turn it off, once, when the engine first resolves its configuration. Results are byte-identical in both layouts. |
+//! | `REL_WCOJ` | `force`/`always`, else auto | auto | Routing of multi-atom conjunctions through the leapfrog WCOJ kernel ([`EngineConfig::wcoj`] per session). Results are byte-identical in both modes. |
 //! | `REL_DURABILITY` | switch | on | Whether [`Session::open`] actually attaches durable storage; off, it returns a plain ephemeral session without touching disk. |
 //! | `REL_FSYNC` | `always`, `batch`, switch off | `batch` | When WAL appends reach stable storage ([`FsyncPolicy`]; [`EngineConfig::durability`] per session via [`Session::open_with`]). |
 //! | `REL_WATCH_BUFFER` | positive integer | `64` | Delivery buffer of a standing query ([`Session::watch`]), in [`WatchDelta`] batches: a subscriber further behind than this goes *lagged* — commits stop buffering deltas for it and the next in-cone commit after it drains coalesces everything missed into one resync snapshot ([`EngineConfig::watch_buffer`] per session). |

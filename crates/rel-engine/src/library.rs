@@ -134,10 +134,9 @@ impl LibraryState {
         module: &Arc<Module>,
         db: &Database,
         cache: &SharedIndexCache,
-        incremental: bool,
     ) -> RelResult<Arc<LibraryState>> {
         let prev = prev.filter(|s| Arc::ptr_eq(&s.module, module));
-        let (rels, outcome) = advance(module, prev.map(|s| &s.pre), incremental, db, cache)?;
+        let (rels, outcome) = advance(module, prev.map(|s| &s.pre), db, cache)?;
         if let (Some(current), FixpointOutcome::CacheReuse) = (prev, outcome) {
             return Ok(Arc::clone(current));
         }

@@ -278,8 +278,9 @@ impl StratumProfile {
 /// How the whole evaluation was served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FixpointOutcome {
-    /// Materialized from scratch (incremental off, or no usable
-    /// pre-state).
+    /// Materialized from scratch: no usable pre-state (a first
+    /// evaluation, or one after the cache evicted or a library change
+    /// retired it).
     Full,
     /// The cached fixpoint was reused wholesale: the snapshot was
     /// unchanged since its capture, no rule was evaluated.

@@ -144,9 +144,6 @@ pub struct Session {
     /// validated structurally against the database they are applied to —
     /// never trusted.
     fixpoint_cache: Arc<RwLock<FixpointCache>>,
-    /// Whether evaluation may reuse captured fixpoints incrementally
-    /// ([`EngineConfig::incremental`]).
-    incremental: bool,
     /// The durable store backing this session, if it was opened with
     /// [`Session::open`]. Behind a `Mutex` only so read-handle methods
     /// like [`Session::sync`] can take `&self`; commits already hold the
@@ -188,7 +185,6 @@ impl Clone for Session {
             library_state: RwLock::new(self.stored_library_state()),
             module_cache: Arc::clone(&self.module_cache),
             fixpoint_cache: Arc::clone(&self.fixpoint_cache),
-            incremental: self.incremental,
             durability: None,
             group_commit: AtomicBool::new(false),
             watches: WatchRegistry::default(),
@@ -207,8 +203,8 @@ impl Session {
 
     /// A session over `db` with an explicit [`EngineConfig`] applied; a
     /// session's switches are fixed at construction. The process-wide
-    /// ones (columnar, metrics) are written only when `cfg` asks for a
-    /// different value than the current one. Ephemeral — the config's
+    /// one (metrics) is written only when `cfg` asks for a different
+    /// value than the current one. Ephemeral — the config's
     /// durability field is only consulted by [`Session::open_with`].
     pub fn with_config(db: Database, cfg: EngineConfig) -> Session {
         cfg.apply_process_wide();
@@ -224,7 +220,6 @@ impl Session {
             library_state: RwLock::new(None),
             module_cache: Arc::new(RwLock::new(LruMap::new(MODULE_CACHE_CAP))),
             fixpoint_cache: Arc::new(RwLock::new(LruMap::new(FIXPOINT_CACHE_CAP))),
-            incremental: cfg.incremental,
             durability: None,
             group_commit: AtomicBool::new(false),
             watches: WatchRegistry::default(),
@@ -450,19 +445,9 @@ impl Session {
         self.index_cache.wcoj_mode()
     }
 
-    /// Is the process-wide columnar layout switch on?
-    pub fn columnar_enabled(&self) -> bool {
-        rel_core::columnar_enabled()
-    }
-
     /// Is the process-wide hot-path metrics switch on?
     pub fn metrics_enabled(&self) -> bool {
         metrics::enabled()
-    }
-
-    /// Is incremental evaluation enabled for this session?
-    pub fn incremental_enabled(&self) -> bool {
-        self.incremental
     }
 
     /// Register a **standing query**: evaluate `prepared` (with `params`
@@ -537,7 +522,7 @@ impl Session {
         db: &Database,
     ) -> RelResult<Arc<LibraryState>> {
         let (_, library) = self.library_compiled()?;
-        LibraryState::advance(prev, library, db, &self.index_cache, self.incremental)
+        LibraryState::advance(prev, library, db, &self.index_cache)
     }
 
     /// The library state of the session's own database, brought up to
@@ -584,10 +569,9 @@ impl Session {
     /// library state of that base database: the library predicates the
     /// query reads are put into `db` from `lib`, and only the query's own
     /// strata are materialized — through the incremental machinery: when a
-    /// fixpoint of the module was captured before (and incremental mode is
-    /// on), only the dependent cone of the inputs whose generations moved
-    /// is re-derived, and an unchanged `db` costs O(#relations) pointer
-    /// bumps. The fresh state is captured for the next call. Results are
+    /// fixpoint of the module was captured before, only the dependent cone
+    /// of the inputs whose generations moved is re-derived, and an
+    /// unchanged `db` costs O(#relations) pointer bumps. The fresh state is captured for the next call. Results are
     /// byte-identical to a full [`crate::fixpoint::materialize`] run; the
     /// second component says *how* the evaluation was served — the
     /// fixpoint line of a [`QueryProfile`].
@@ -599,20 +583,18 @@ impl Session {
     ) -> RelResult<(BTreeMap<Name, Relation>, FixpointOutcome)> {
         let (module, shared) = compiled.over(lib);
         lib.overlay(shared, db);
-        // With maintenance off every evaluation starts from nothing; on,
-        // a pure reuse — nothing moved since capture — needs no re-capture
+        // A pure reuse — nothing moved since capture — needs no re-capture
         // and (the hot concurrent path) no write lock.
         let key = Arc::as_ptr(module) as usize;
-        let cached = self.incremental.then(|| read(&self.fixpoint_cache).get(&key)).flatten();
+        let cached = read(&self.fixpoint_cache).get(&key);
         let pre = cached.and_then(|(m, pre)| Arc::ptr_eq(&m, module).then_some(pre));
-        let (rels, outcome) =
-            incremental::advance(module, pre.as_deref(), self.incremental, db, &self.index_cache)?;
+        let (rels, outcome) = incremental::advance(module, pre.as_deref(), db, &self.index_cache)?;
         let reused = outcome == FixpointOutcome::CacheReuse;
-        if self.incremental && metrics::enabled() {
+        if metrics::enabled() {
             let r = metrics::registry();
             if reused { r.fixpoint_cache_hits.incr() } else { r.fixpoint_cache_misses.incr() }
         }
-        if self.incremental && !reused {
+        if !reused {
             let pre = Arc::new(PreState::capture(db, &rels));
             write(&self.fixpoint_cache).insert(key, (Arc::clone(module), pre));
         }
@@ -876,10 +858,6 @@ mod tests {
         Session::new(figure1_database())
     }
 
-    fn incremental_session() -> Session {
-        Session::with_config(figure1_database(), EngineConfig::from_env().incremental(true))
-    }
-
     /// A durable-session configuration with the given store tuning.
     fn durable(cfg: DurabilityConfig) -> EngineConfig {
         EngineConfig::from_env().durability(cfg)
@@ -1056,7 +1034,7 @@ mod tests {
         // Same module, unchanged database: the second evaluation must
         // reuse the captured fixpoint by pointer (a recompute would build
         // fresh storage for the derived relation).
-        let mut s = incremental_session();
+        let mut s = session();
         let src = "def Joined(x, o) : \
                    exists((p) | OrderProductQuantity(o, x, _) and ProductPrice(x, p))";
         let a = s.eval(src, "Joined").unwrap();
@@ -1080,7 +1058,7 @@ mod tests {
         // Clones share the fixpoint cache, but entries are validated by
         // base-relation generations — a clone whose database diverged
         // must never be served the other clone's state.
-        let a = incremental_session();
+        let a = session();
         let src = "def output(x) : exists( (y) | ProductPrice(x,y) and y > 30)";
         let mut b = a.clone();
         assert_eq!(a.query(src).unwrap().len(), 1);
@@ -1130,46 +1108,24 @@ mod tests {
         db
     }
 
-    /// A session that actually runs its join path on every query:
-    /// incremental reuse would serve repeats from the fixpoint cache.
-    fn eager_session(mode: WcojMode) -> Session {
-        Session::with_config(triangle_db(), EngineConfig::from_env().incremental(false).wcoj(mode))
-    }
-
     #[test]
     fn wcoj_modes_agree_on_query_results() {
+        // A fresh session per run: its first query runs the join, where a
+        // repeat would be served from the fixpoint cache.
         let src = "def output(a,b,c) : E(a,b) and E(b,c) and E(a,c)";
-        let (off, profile) = eager_session(WcojMode::Off).query_profiled(src).unwrap();
-        assert_eq!(profile.totals().wcoj_joins, 0, "Off must never route to leapfrog");
-        let (auto, profile) = eager_session(WcojMode::Auto).query_profiled(src).unwrap();
-        assert!(
-            profile.totals().wcoj_joins > 0,
-            "the session's WCOJ mode must reach the evaluator"
-        );
-        let s = eager_session(WcojMode::Force);
-        let forced = s.query(src).unwrap();
-        assert_eq!(s.wcoj_mode(), WcojMode::Force);
-        let flat = |r: &Relation| r.iter().cloned().collect::<Vec<_>>();
-        assert_eq!(flat(&off), flat(&auto));
-        assert_eq!(flat(&off), flat(&forced));
-        assert_eq!(off.len(), 4, "fixture has four triangles");
-    }
-
-    #[test]
-    fn columnar_layouts_agree_on_query_results() {
-        let s = eager_session(WcojMode::Auto);
-        let src = "def output(a,b,c) : E(a,b) and E(b,c) and E(a,c)";
-        let prev = rel_core::columnar_enabled();
-        rel_core::set_columnar_enabled(true);
-        assert!(s.columnar_enabled());
-        let on = s.query(src).unwrap();
-        rel_core::set_columnar_enabled(false);
-        assert!(!s.columnar_enabled());
-        let off = s.query(src).unwrap();
-        rel_core::set_columnar_enabled(prev);
-        let flat = |r: &Relation| r.iter().cloned().collect::<Vec<_>>();
-        assert_eq!(flat(&on), flat(&off));
-        assert_eq!(on.len(), 4, "fixture has four triangles");
+        let run = |mode: WcojMode| {
+            let s = Session::with_config(triangle_db(), EngineConfig::from_env().wcoj(mode));
+            assert_eq!(s.wcoj_mode(), mode);
+            let (out, profile) = s.query_profiled(src).unwrap();
+            assert!(
+                profile.totals().wcoj_joins > 0,
+                "the session's WCOJ mode must reach the evaluator"
+            );
+            out.iter().cloned().collect::<Vec<_>>()
+        };
+        let triangles = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)].map(|(a, b, c)| tuple![a, b, c]);
+        assert_eq!(run(WcojMode::Auto), triangles);
+        assert_eq!(run(WcojMode::Force), triangles);
     }
 
     #[test]
@@ -1179,10 +1135,10 @@ mod tests {
         // with other modes leave it alone.
         let a = Session::with_config(figure1_database(), EngineConfig::from_env().wcoj(WcojMode::Force));
         let b = a.clone();
-        let c = Session::with_config(figure1_database(), EngineConfig::from_env().wcoj(WcojMode::Off));
+        let c = Session::with_config(figure1_database(), EngineConfig::from_env().wcoj(WcojMode::Auto));
         assert_eq!(b.wcoj_mode(), WcojMode::Force, "a clone keeps its original's mode");
         assert_eq!(a.wcoj_mode(), WcojMode::Force, "another session's mode must not leak");
-        assert_eq!(c.wcoj_mode(), WcojMode::Off);
+        assert_eq!(c.wcoj_mode(), WcojMode::Auto);
     }
 
     #[test]

@@ -509,28 +509,22 @@ mod tests {
     fn later_step_violating_earlier_constraint_aborts() {
         // Step 1's constraint holds at step time; step 2's staged delete
         // breaks it. The incremental re-check must re-derive the cone and
-        // abort — in both evaluation modes.
-        for incremental in [true, false] {
-            let cfg = crate::EngineConfig::from_env().incremental(incremental);
-            let mut s = Session::with_config(figure1_database(), cfg);
-            let mut txn = s.begin();
-            txn.run(
-                "def insert(:OrderProductQuantity, x, y, z) : \
-                   x = \"O9\" and y = \"P1\" and z = 1\n\
-                 ic valid_products(p) requires \
-                   OrderProductQuantity(_,p,_) implies ProductPrice(p,_)",
-            )
-            .unwrap();
-            // Deleting P1's price invalidates both the staged insert and
-            // the pre-existing O1/O2 rows referencing P1.
-            assert!(txn.stage_delete("ProductPrice", &tuple!["P1", 10]));
-            let err = txn.commit().unwrap_err();
-            assert!(
-                matches!(err, RelError::ConstraintViolation { .. }),
-                "incremental={incremental}: {err}"
-            );
-            assert_eq!(s.db().get("ProductPrice").unwrap().len(), 4);
-        }
+        // abort.
+        let mut s = session();
+        let mut txn = s.begin();
+        txn.run(
+            "def insert(:OrderProductQuantity, x, y, z) : \
+               x = \"O9\" and y = \"P1\" and z = 1\n\
+             ic valid_products(p) requires \
+               OrderProductQuantity(_,p,_) implies ProductPrice(p,_)",
+        )
+        .unwrap();
+        // Deleting P1's price invalidates both the staged insert and
+        // the pre-existing O1/O2 rows referencing P1.
+        assert!(txn.stage_delete("ProductPrice", &tuple!["P1", 10]));
+        let err = txn.commit().unwrap_err();
+        assert!(matches!(err, RelError::ConstraintViolation { .. }), "{err}");
+        assert_eq!(s.db().get("ProductPrice").unwrap().len(), 4);
     }
 
     #[test]
@@ -569,37 +563,25 @@ mod tests {
     }
 
     #[test]
-    fn repeated_transacts_agree_with_full_mode() {
+    fn repeated_transacts_maintain_the_closure() {
         // A sequence of small commits over a recursive view: the session's
-        // incremental mode must land on exactly the database a
-        // full-re-materialization session lands on.
+        // incremental maintenance must land on the closure of the chain
+        // 1 -> 2 -> ... -> 8, which is every pair (i, j) with i < j.
         let lib = "def TC(x,y) : E(x,y)\n\
                    def TC(x,y) : exists((z) | E(x,z) and TC(z,y))\n\
                    ic closed(x, y) requires E(x,y) implies TC(x,y)";
-        let mode = |on| {
-            let cfg = crate::EngineConfig::from_env().incremental(on);
-            Session::with_config(Database::new(), cfg).with_library(lib)
-        };
-        let (mut inc, mut full) = (mode(true), mode(false));
-        assert!(inc.incremental_enabled() && !full.incremental_enabled());
-        for s in [&mut inc, &mut full] {
-            s.db_mut().insert("E", tuple![1, 2]);
-            s.db_mut().insert("E", tuple![2, 3]);
-        }
-        for step in 3..8i64 {
-            for s in [&mut inc, &mut full] {
-                let mut txn = s.begin();
-                txn.run(&format!(
-                    "def insert(:E, x, y) : x = {step} and y = {}",
-                    step + 1
-                ))
-                .unwrap();
-                txn.commit().unwrap();
-            }
-        }
+        let mut s = Session::new(Database::new()).with_library(lib);
+        s.db_mut().insert("E", tuple![1, 2]);
+        s.db_mut().insert("E", tuple![2, 3]);
         let q = "def output(x, y) : TC(x, y)";
-        assert_eq!(inc.query(q).unwrap(), full.query(q).unwrap());
-        assert_eq!(inc.db().get("E").unwrap(), full.db().get("E").unwrap());
+        for step in 3..8i64 {
+            let mut txn = s.begin();
+            txn.run(&format!("def insert(:E, x, y) : x = {step} and y = {}", step + 1))
+                .unwrap();
+            txn.commit().unwrap();
+            let want = (1..=step + 1).flat_map(|i| (i + 1..=step + 1).map(move |j| tuple![i, j]));
+            assert_eq!(s.query(q).unwrap(), Relation::from_tuples(want), "after step {step}");
+        }
     }
 
     #[test]

@@ -20,13 +20,19 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rel_core::database::Delta;
 use rel_core::{tuple, Database, RelError, Tuple};
-use rel_engine::durability::{failpoint, DurabilityConfig, FsyncPolicy};
+use rel_engine::durability::{
+    failpoint, guarded_rename, DurabilityConfig, FailpointFile, FsyncPolicy,
+};
 use rel_engine::{wal, EngineConfig, Session};
+use std::fs::File;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
 /// The failpoint budget is process-global: tests that arm it must not
-/// interleave with each other (or trip a disarmed test's I/O).
+/// interleave with each other (or trip a disarmed test's I/O). Every test
+/// that arms it lives in this binary and holds this lock; the library's
+/// own unit tests write through `FailpointFile` and never arm it.
 static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -361,5 +367,48 @@ fn unwritable_store_degrades_to_ephemeral_with_recovered_data() {
     let s = Session::open_with(&dir, cfg).unwrap();
     assert!(s.is_durable());
     assert_eq!(s.db().total_tuples(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failpoint_budget_cuts_writes_at_the_byte() {
+    let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = temp_dir("budget");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t.bin");
+    failpoint::arm(5);
+    let mut f = FailpointFile::new(File::create(&path).unwrap());
+    let err = f.write_all(b"0123456789").unwrap_err();
+    assert!(failpoint::is_crash(&err.to_string()), "{err}");
+    assert_eq!(failpoint::remaining(), Some(0));
+    drop(f);
+    failpoint::disarm();
+    assert_eq!(std::fs::read(&path).unwrap(), b"01234");
+    // Metadata ops are also gated while exhausted.
+    failpoint::arm(0);
+    let f = FailpointFile::new(File::create(dir.join("t2.bin")).unwrap());
+    assert!(f.sync_data().is_err());
+    assert!(guarded_rename(&path, &dir.join("t3.bin")).is_err());
+    failpoint::disarm();
+    assert!(f.sync_data().is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn disarmed_is_passthrough() {
+    let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    failpoint::disarm();
+    assert!(!failpoint::armed());
+    assert_eq!(failpoint::remaining(), None);
+    let dir = temp_dir("disarmed");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t.bin");
+    let mut f = FailpointFile::new(File::create(&path).unwrap());
+    f.write_all(&[7u8; 1000]).unwrap();
+    f.sync_data().unwrap();
+    f.set_len(10).unwrap();
+    drop(f);
+    guarded_rename(&path, &dir.join("t2.bin")).unwrap();
+    assert_eq!(std::fs::read(dir.join("t2.bin")).unwrap(), [7u8; 10]);
     let _ = std::fs::remove_dir_all(&dir);
 }

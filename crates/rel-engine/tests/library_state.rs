@@ -68,9 +68,7 @@ fn stream_session_with(library: &str) -> (Session, Prepared, Prepared) {
     }
     db.insert("Price", tuple![1, 10]);
     db.insert("Price", tuple![2, 25]);
-    // (With the row layout the restart's `E(x, z)` under a bound `z`
-    // takes the env path and, not being a prefix, a key-first permutation.)
-    let cfg = EngineConfig::from_env().incremental(true).wcoj(WcojMode::Auto).columnar(true);
+    let cfg = EngineConfig::from_env().wcoj(WcojMode::Auto);
     let s = Session::with_config(db, cfg).with_library(library);
     let insert = s.prepare(INSERT_EDGE).unwrap();
     let watched = s.prepare(WATCHED).unwrap();

@@ -1,10 +1,9 @@
 //! Ground-truth tests for [`rel_engine::QueryProfile`]: force each
 //! join-kernel choice, cache outcome, and incremental classification
-//! through the session's configuration (WCOJ mode, incremental) on
-//! targeted programs, and check the profile reports exactly what the
-//! engine was forced to do.
+//! through the session's WCOJ mode and targeted programs, and check the
+//! profile reports exactly what the engine was forced to do.
 
-use rel_core::{tuple, Database, Relation, Tuple};
+use rel_core::{tuple, Database, Relation, Tuple, Value};
 use rel_engine::{EngineConfig, FixpointOutcome, Session, StratumAction, WcojMode};
 
 /// A dense-enough edge relation that triangles exist and recursion
@@ -30,12 +29,6 @@ fn triangle_session_with(cfg: EngineConfig) -> Session {
     Session::with_config(db, cfg)
 }
 
-/// A session whose incremental classification is under test: maintenance
-/// pinned on, so the REL_INCREMENTAL=0 CI leg measures the same thing.
-fn incremental_session(db: Database) -> Session {
-    Session::with_config(db, EngineConfig::from_env().incremental(true))
-}
-
 const TRIANGLE: &str = "def output(x, y, z) : E(x, y) and E(y, z) and E(x, z)";
 
 #[test]
@@ -50,20 +43,25 @@ fn forced_wcoj_is_reported_as_wcoj() {
 }
 
 #[test]
-fn disabled_wcoj_is_reported_as_binary() {
-    let s = triangle_session(WcojMode::Off);
-    let (rows_off, profile) = s.query_profiled(TRIANGLE).unwrap();
+fn unfused_two_atom_join_under_auto_is_reported_as_binary() {
+    // Two stored atoms and a comparison: no fused shape, and too few atoms
+    // for Auto to route to leapfrog, so the pairwise scheduler joins them.
+    let src = "def output(x, z) : exists((y) | E(x, y) and E(y, z) and x < z)";
+    let (rows, profile) = triangle_session(WcojMode::Auto).query_profiled(src).unwrap();
     let t = profile.totals();
-    assert_eq!(t.wcoj_joins, 0, "Off must never touch the WCOJ kernel: {t:?}");
-    assert!(
-        t.binary_joins > 0 || t.env_rules > 0,
-        "Off must run the pairwise/env path: {t:?}"
-    );
-    assert_eq!(t.fused_rules, 0, "a 3-atom rule has no fused kernel: {t:?}");
-    // Same rows as the forced kernel — the profile reports routing, not
-    // semantics.
-    let (rows_force, _) = triangle_session(WcojMode::Force).query_profiled(TRIANGLE).unwrap();
-    assert_eq!(rows_off, rows_force);
+    assert_eq!(t.wcoj_joins, 0, "below WCOJ_MIN_ATOMS nothing reaches the WCOJ kernel: {t:?}");
+    assert!(t.binary_joins > 0, "Auto must run the pairwise path: {t:?}");
+    assert_eq!(t.fused_rules, 0, "a rule with a comparison has no fused kernel: {t:?}");
+    // The same rows as brute force and as the forced kernel — the profile
+    // reports routing, not semantics.
+    let e: Vec<(Value, Value)> = edges().iter().map(|t| (t[0].clone(), t[1].clone())).collect();
+    let want = Relation::from_tuples(e.iter().flat_map(|(x, y)| {
+        e.iter().filter(move |(y2, z)| y2 == y && x < z).map(move |(_, z)| Tuple::from(vec![x.clone(), z.clone()]))
+    }));
+    assert_eq!(rows, want);
+    let (forced, profile) = triangle_session(WcojMode::Force).query_profiled(src).unwrap();
+    assert!(profile.totals().wcoj_joins > 0);
+    assert_eq!(forced, want);
 }
 
 #[test]
@@ -76,33 +74,27 @@ fn two_atom_rule_under_defaults_is_fused() {
     assert!(!rows.is_empty());
     let t = profile.totals();
     assert_eq!(t.wcoj_joins, 0, "below WCOJ_MIN_ATOMS nothing reaches the WCOJ kernel: {t:?}");
-    if !s.columnar_enabled() {
-        // The REL_COLUMNAR=0 leg has no fused kernels to observe — the
-        // profile must say so rather than misattribute.
-        assert_eq!(t.fused_rules, 0, "no columnar layout, no fused kernels: {t:?}");
-        assert!(t.binary_joins > 0 || t.env_rules > 0, "row layout runs the env path: {t:?}");
-        return;
-    }
-    assert!(
-        t.fused_rules > 0,
-        "a 2-atom join under default columnar mode must hit a fused kernel: {t:?}"
-    );
+    assert!(t.fused_rules > 0, "a 2-atom join under Auto must hit a fused kernel: {t:?}");
 }
 
 #[test]
 fn trie_cache_outcomes_build_then_reuse() {
-    // Full materialization every run, so the second run exercises the
-    // shared generation-keyed caches instead of the fixpoint cache.
-    let s = triangle_session_with(EngineConfig::from_env().wcoj(WcojMode::Force).incremental(false));
+    let s = triangle_session(WcojMode::Force);
     let (_, first) = s.query_profiled(TRIANGLE).unwrap();
     let t1 = first.totals();
     assert!(t1.trie_builds > 0, "first run must build its permuted tries: {t1:?}");
-    let (_, second) = s.query_profiled(TRIANGLE).unwrap();
+    assert!(!first.module_cache_hit, "fresh source must miss the module cache");
+    // The same join under new source text: a module of its own, so no
+    // fixpoint to reuse, but the shared generation-keyed tries serve it.
+    let renamed = TRIANGLE.replace('x', "a").replace('y', "b").replace('z', "c");
+    let (_, second) = s.query_profiled(&renamed).unwrap();
     let t2 = second.totals();
+    assert_eq!(second.fixpoint, FixpointOutcome::Full);
     assert_eq!(t2.trie_builds, 0, "second run must not rebuild tries: {t2:?}");
     assert!(t2.trie_reuses > 0, "second run must reuse cached tries: {t2:?}");
-    assert!(second.module_cache_hit, "repeated source must hit the module cache");
-    assert!(!first.module_cache_hit, "fresh source must miss the module cache");
+    let (_, third) = s.query_profiled(TRIANGLE).unwrap();
+    assert!(third.module_cache_hit, "repeated source must hit the module cache");
+    assert_eq!(third.fixpoint, FixpointOutcome::CacheReuse);
 }
 
 const TWO_CONES: &str = "def A(x) : exists((y) | E1(x, y))\n\
@@ -114,7 +106,7 @@ fn incremental_classification_reused_vs_recomputed() {
     let mut db = Database::new();
     db.set("E1", Relation::from_tuples(vec![tuple![1, 2], tuple![2, 3]]));
     db.set("E2", Relation::from_tuples(vec![tuple![10, 20]]));
-    let mut s = incremental_session(db);
+    let mut s = Session::new(db);
     let (_, first) = s.query_profiled(TWO_CONES).unwrap();
     assert_eq!(first.fixpoint, FixpointOutcome::Full, "no pre-state on the first run");
 
@@ -160,7 +152,7 @@ const TC: &str = "def TC(x, y) : E(x, y)\n\
 fn incremental_recursion_is_delta_restarted() {
     let mut db = Database::new();
     db.set("E", Relation::from_tuples(vec![tuple![1, 2], tuple![2, 3], tuple![3, 4]]));
-    let mut s = incremental_session(db);
+    let mut s = Session::new(db);
     let (rows, first) = s.query_profiled(TC).unwrap();
     assert_eq!(first.fixpoint, FixpointOutcome::Full);
     let len_before = rows.len();

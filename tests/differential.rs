@@ -9,19 +9,27 @@
 //! After every commit of every stream, every engine configuration must
 //! equal the reference:
 //!
-//! * module level — `materialize_with_threads` with 1 worker (WCOJ off)
-//!   and with 4 (WCOJ forced), and `materialize_incremental` chained from
-//!   the previous state's `PreState`; each keeps one `SharedIndexCache`
-//!   across every program and commit;
-//! * session level — default, incremental off (one-batch watch buffers),
-//!   WCOJ off, WCOJ forced, columnar off, metrics on: the base relations,
-//!   every library relation, an ad hoc read, prepared reads, and two watch
-//!   mirrors whose sequence numbers must be gapless.
+//! * module level — `materialize_with_threads` with 1 worker (WCOJ auto)
+//!   and with 4 (WCOJ forced), and `materialize_incremental_with_stats`
+//!   chained from the previous state's `PreState`; each keeps one
+//!   `SharedIndexCache` across every program and commit;
+//! * session level — default, WCOJ forced (one-batch watch buffers),
+//!   metrics on: the base relations, every library relation, an ad hoc
+//!   read, prepared reads, and two watch mirrors whose sequence numbers
+//!   must be gapless.
+//!
+//! There is one engine — incremental, columnar, WCOJ on `Auto` — so the
+//! fallbacks it keeps for inputs the fast paths cannot take must be
+//! reached by the default configuration itself. Coverage floors over the
+//! whole run show they are: generic env-path rules and pairwise joins
+//! under `Auto`, recomputed and delta-restarted strata, and checked states
+//! holding a relation no kernel can read through a columnar projection.
 //!
 //! Programs mix monotone and partial-fixpoint recursion, negation, `sum`
 //! aggregation and `<++` overrides, triangles, 4-cycles and
 //! paths-with-closure, numeric and string constants, float and mixed-type
-//! columns; one wide program has 12 independent components. Streams mix
+//! columns, a base relation mixing 1- and 2-tuples, and a rule with a
+//! nullary head; one wide program has 12 independent components. Streams mix
 //! prepared and compiled steps, staged inserts and multi-tuple deletes,
 //! explicit aborts and constraint aborts (the interpreter decides the
 //! verdict from each `ic`'s violations written as a `def`), one
@@ -34,16 +42,15 @@
 //! positions downstream (the interpreter enumerates variables over the
 //! active domain, which a sum need not be in).
 //!
-//! Three checks have no oracle and stay targeted tests on the same
-//! generator: durable bytes across layouts, concurrent prepared executes,
-//! and the layout toggled between commits. New engine paths and bug fixes
-//! add their regression case here.
+//! One check has no oracle and stays a targeted test on the same
+//! generator: concurrent prepared executes. New engine paths and bug
+//! fixes add their regression case here.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rel::core::{set_columnar_enabled, tuple};
+use rel::core::tuple;
 use rel::engine::durability::{DurabilityConfig, FsyncPolicy};
-use rel::engine::{metrics, PreState, SharedIndexCache, WcojMode};
+use rel::engine::{metrics, IncrementalStats, PreState, SharedIndexCache, WcojMode};
 use rel::interp::Interp;
 use rel::prelude::*;
 use std::collections::BTreeMap;
@@ -60,11 +67,20 @@ const ROUNDS: usize = 10;
 const REOPEN: usize = 2;
 const EDIT: usize = 4;
 const INSTALL: usize = 7;
+/// Coverage floors over the whole run (see [`Coverage`]), about half of
+/// what the seeds above reach: 1087 env-path rules, 456 pairwise-join
+/// dispatches, 511 recomputed and 39 delta-restarted strata, and 633
+/// session checks that saw a relation with no columnar projection.
+const FLOOR_ENV_RULES: u64 = 500;
+const FLOOR_BINARY: u64 = 200;
+const FLOOR_RECOMPUTED: usize = 200;
+const FLOOR_DELTA_SEEDED: usize = 20;
+const FLOOR_ROWWISE: usize = 300;
 const STEP: &str = "def insert(:E1, x, y) : x = ?a and y = ?b";
 const NAMES: [&str; 3] = ["ann", "bob", "cy"];
 
-/// Columnar layout and metrics are process-wide: every test here holds
-/// this lock, and [`Serial`] puts both back as it found them.
+/// Metrics are process-wide: every test here holds this lock, and
+/// [`Serial`] puts the switch back as it found it.
 static LOCK: Mutex<()> = Mutex::new(());
 
 struct Serial {
@@ -85,9 +101,8 @@ impl Drop for Serial {
     }
 }
 
-/// Set the process-wide switches to `cfg`'s.
+/// Set the process-wide switch to `cfg`'s.
 fn enter(cfg: &EngineConfig) {
-    set_columnar_enabled(cfg.columnar);
     metrics::set_metrics(cfg.metrics);
 }
 
@@ -108,6 +123,8 @@ enum Base {
     Weight,
     Mixed,
     Node,
+    /// 1- and 2-tuples in one relation: no columnar projection exists.
+    Ragged,
 }
 
 fn row(rng: &mut StdRng, base: Base, d: i64) -> Tuple {
@@ -119,6 +136,8 @@ fn row(rng: &mut StdRng, base: Base, d: i64) -> Tuple {
         Base::Weight => vec![int(rng), Value::float(rng.gen_range(1..3) as f64)],
         Base::Mixed => vec![int(rng), if rng.gen_bool(0.5) { int(rng) } else { name(rng) }],
         Base::Node => vec![int(rng)],
+        Base::Ragged if rng.gen_bool(0.5) => vec![int(rng)],
+        Base::Ragged => vec![int(rng), int(rng)],
     })
 }
 
@@ -169,13 +188,14 @@ impl Program {
     }
 }
 
-/// A program over 3 edge relations (12 for `wide`), a node set and, when
-/// `typed`, string, float and mixed-type relations.
+/// A program over 3 edge relations (12 for `wide`), a node set, a
+/// relation of mixed arity and, when `typed`, string, float and
+/// mixed-type relations.
 fn program(rng: &mut StdRng, wide: bool, typed: bool) -> Program {
     let d = if typed { 4 } else { 5 };
     let mut base: Vec<(String, Base)> =
         (0..if wide { 12 } else { 3 }).map(|k| (format!("E{k}"), Base::Edge)).collect();
-    base.push(("V".into(), Base::Node));
+    base.extend([("V", Base::Node), ("M", Base::Ragged)].map(|(n, b)| (n.into(), b)));
     if typed {
         base.extend([("S", Base::Name), ("W", Base::Weight), ("X", Base::Mixed)].map(|(n, b)| (n.into(), b)));
     }
@@ -192,13 +212,17 @@ fn program(rng: &mut StdRng, wide: bool, typed: bool) -> Program {
         .filter_map(|(n, b)| match b {
             Base::Edge => Some((n.clone(), Kind::Int)),
             Base::Weight => Some((n.clone(), Kind::Flt)),
-            Base::Name | Base::Mixed => Some((n.clone(), Kind::Other)),
+            Base::Name | Base::Mixed | Base::Ragged => Some((n.clone(), Kind::Other)),
             Base::Node => None,
         })
         .collect();
-    let mut unary = vec!["V".to_string()];
+    let mut unary = vec!["V".to_string(), "M".to_string()];
+    // Joins over both arities of `M`, which no columnar projection can
+    // serve: the pairs of `M` that end in one of its 1-tuples, and a
+    // nullary head that is true when there is one.
     let mut defs = String::from("def sum[{A}] : reduce[add, A]\n");
-    let mut derived = Vec::new();
+    defs.push_str("def R(x, y) : M(x, y) and M(y)\ndef F : exists((x, y) | M(x, y) and M(y))\n");
+    let mut derived = vec!["R".to_string(), "F".to_string()];
     // Consecutive shapes from a random start, so each program mixes many.
     let first = rng.gen_range(0..9usize);
     for i in 0..if wide { 12 } else { rng.gen_range(4..7usize) } {
@@ -342,6 +366,12 @@ fn rows(db: &Database) -> Vec<(String, Vec<Tuple>)> {
 struct Tally {
     checked: usize,
     over_budget: usize,
+}
+
+/// A non-empty relation with no columnar projection (mixed-arity or
+/// nullary): every kernel that reads it takes its row path.
+fn rowwise(r: &Relation) -> bool {
+    !r.is_empty() && r.uniform_arity().is_none_or(|a| a == 0) && r.columnar().is_none()
 }
 
 /// The reference for `db`: `materialize_naive` of the oracle source, held
@@ -514,18 +544,17 @@ struct Lane {
 impl Lane {
     /// Check the session against the reference `r` of the model `db`:
     /// base relations, every library relation, an ad hoc read named by
-    /// `n`, and each watched read through its mirror and prepared.
-    fn check(&mut self, p: &Program, db: &Database, r: &Rels, ctx: &str, n: u64) {
+    /// `n`, and each watched read through its mirror and prepared. `true`
+    /// when a base or library relation was [`rowwise`].
+    fn check(&mut self, p: &Program, db: &Database, r: &Rels, ctx: &str, n: u64) -> bool {
         let (s, name) = (&self.s, self.name);
         let (got, want) = (rows(s.db()), rows(db));
         assert!(got == want, "{ctx}\nconfig {name}: base relations\n  {got:?}\nbut the model has\n  {want:?}");
+        let mut row_path = s.db().iter().any(|(_, stored)| rowwise(stored));
         for pred in &p.derived {
             let got = s.eval("", pred).unwrap_or_else(|e| panic!("{ctx}\nconfig {name}: {pred}: {e}"));
             same(ctx, name, pred, Some(&got), r.get(pred));
-        }
-        for (rel, stored) in s.db().iter().filter(|(_, r)| r.uniform_arity().is_some()) {
-            let typed = !self.cfg.columnar || stored.columnar().is_some();
-            assert!(typed, "{ctx}\nconfig {name}: {rel} has no columnar projection");
+            row_path |= rowwise(&got);
         }
         let violated = p.violated(r);
         let read = |what: &str, got: RelResult<Relation>, want: &Relation| match got {
@@ -552,27 +581,65 @@ impl Lane {
             same(ctx, name, &format!("the watch mirror of {:?}", q.src), Some(&m.rows), Some(want));
             read(&q.src, s.prepare(&q.src).and_then(|x| x.execute_with(s, &q.params)), want);
         }
+        row_path
     }
 }
 
 /// The module-level configurations, each on one cache for the whole run:
-/// 1 worker with WCOJ off, 4 with WCOJ forced, and the incremental engine
-/// chained from the previous state (`pre`, `None` after a library change).
+/// 1 worker with WCOJ on `Auto`, 4 with WCOJ forced, and the incremental
+/// engine chained from the previous state (`pre`, `None` after a library
+/// change). `coverage` sums what the default paths did along the way.
 struct Modules {
     caches: [SharedIndexCache; 3],
     pre: Option<PreState>,
+    coverage: Coverage,
+}
+
+/// Fallback paths the default configuration took, over the whole run.
+#[derive(Debug, Default)]
+struct Coverage {
+    /// Rules the generic env evaluator ran, and atoms the pairwise join
+    /// scheduler took, in the 1-worker `Auto` module run.
+    env_rules: u64,
+    binary_dispatches: u64,
+    /// Strata the incremental engine recomputed and delta-restarted.
+    maintenance: IncrementalStats,
+    /// Session checks that saw a [`rowwise`] relation.
+    rowwise_states: usize,
+}
+
+/// Run `f` with metrics on; what it added to the env-path rule and
+/// pairwise-join counters comes back with its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; 2]) {
+    let (was, r) = (metrics::enabled(), metrics::registry());
+    let read = || [r.env_rules.get(), r.binary_join_dispatches.get()];
+    metrics::set_metrics(true);
+    let before = read();
+    let out = f();
+    let after = read();
+    metrics::set_metrics(was);
+    (out, [after[0] - before[0], after[1] - before[1]])
 }
 
 impl Modules {
     fn check(&mut self, p: &Program, db: &Database, r: &Rels, ctx: &str) {
-        use rel::engine::{materialize_incremental, materialize_with_cache, materialize_with_threads};
-        let (module, [one, four, inc]) = (rel::sema::compile(&p.defs).expect("library compiles"), &self.caches);
+        use rel::engine::{materialize_incremental_with_stats, materialize_with_cache, materialize_with_threads};
+        let (module, [auto, four, inc]) = (rel::sema::compile(&p.defs).expect("library compiles"), &self.caches);
         let incremental = match &self.pre {
-            Some(pre) => materialize_incremental(&module, pre, db, inc.clone()),
+            Some(pre) => materialize_incremental_with_stats(&module, pre, db, inc.clone()).map(|(rels, stats)| {
+                let m = &mut self.coverage.maintenance;
+                m.reused += stats.reused;
+                m.delta_seeded += stats.delta_seeded;
+                m.recomputed += stats.recomputed;
+                rels
+            }),
             None => materialize_with_cache(&module, db, inc.clone()),
         };
+        let (one, [env_rules, binary]) = counted(|| materialize_with_threads(&module, db, auto.clone(), 1));
+        self.coverage.env_rules += env_rules;
+        self.coverage.binary_dispatches += binary;
         let runs = [
-            ("1 worker, wcoj off", materialize_with_threads(&module, db, one.clone(), 1)),
+            ("1 worker, wcoj auto", one),
             ("4 workers, wcoj force", materialize_with_threads(&module, db, four.clone(), 4)),
             ("materialize_incremental", incremental),
         ];
@@ -592,14 +659,11 @@ fn every_configuration_matches_the_interpreter_after_every_commit() {
     let ambient = serial.ambient;
     let configs = [
         ("default", ambient),
-        ("incremental off", ambient.incremental(false).watch_buffer(1)),
-        ("wcoj off", ambient.wcoj(WcojMode::Off)),
-        ("wcoj force", ambient.wcoj(WcojMode::Force)),
-        ("columnar off", ambient.columnar(false)),
+        ("wcoj force", ambient.wcoj(WcojMode::Force).watch_buffer(1)),
         ("metrics on", ambient.metrics(true)),
     ];
-    let caches = [WcojMode::Off, WcojMode::Force, ambient.wcoj].map(SharedIndexCache::with_wcoj);
-    let mut modules = Modules { caches, pre: None };
+    let caches = [WcojMode::Auto, WcojMode::Force, ambient.wcoj].map(SharedIndexCache::with_wcoj);
+    let mut modules = Modules { caches, pre: None, coverage: Coverage::default() };
     let mut tally = Tally::default();
     let (mut commits, mut violations, mut aborts) = (0, 0, 0);
     let wcoj = metrics::registry().wcoj_dispatches.get();
@@ -697,7 +761,8 @@ fn every_configuration_matches_the_interpreter_after_every_commit() {
             }
             for lane in &mut lanes {
                 enter(&lane.cfg);
-                lane.check(&p, &db, &r, &here, stream * ROUNDS as u64 + round as u64);
+                let n = stream * ROUNDS as u64 + round as u64;
+                modules.coverage.rowwise_states += lane.check(&p, &db, &r, &here, n) as usize;
             }
         }
         drop(lanes);
@@ -708,44 +773,13 @@ fn every_configuration_matches_the_interpreter_after_every_commit() {
     assert!(checked >= 250, "the interpreter checked {checked} states, {over_budget} over its budget");
     let mix = format!("{commits} commits, {violations} constraint aborts, {aborts} aborts");
     assert!(commits >= 150 && violations >= 15 && aborts >= 15, "{mix}");
-    if ambient.wcoj != WcojMode::Off {
-        assert!(metrics::registry().wcoj_dispatches.get() > wcoj, "no generated join reached the WCOJ kernel");
-    }
-}
-
-/// The bytes a durable session writes do not depend on the layout that
-/// produced its deltas, and a store written under either layout recovers
-/// under the other.
-#[test]
-fn durable_bytes_do_not_depend_on_the_layout() {
-    let _serial = Serial::take();
-    let mut rng = StdRng::seed_from_u64(SEED - 1);
-    let p = program(&mut rng, false, true);
-    let stream: Vec<Txn> = (0..12).map(|_| Txn { step: None, abort: false, ..txn(&mut rng, &p, &p.db) }).collect();
-    let model = stream.iter().fold(p.db.clone(), |db, t| stage(&db, t, &Rels::new()).0);
-    let dirs = ["rows", "columns"].map(scratch_dir);
-    let mut images = Vec::new();
-    for (dir, columnar) in dirs.iter().zip([false, true]) {
-        set_columnar_enabled(columnar);
-        let mut s = durable(dir, EngineConfig::from_env());
-        assert!(s.is_durable(), "durability must be enabled for this test");
-        load(&mut s, &p.db);
-        for t in &stream {
-            run(&mut s, t).expect("commits").expect("no constraint to violate");
-        }
-        drop(s);
-        let files = std::fs::read_dir(dir).expect("store exists").map(|f| f.expect("entry").path());
-        let bytes = files.map(|f| (f.file_name().map(|n| n.to_owned()), std::fs::read(&f).expect("readable")));
-        images.push(bytes.collect::<BTreeMap<_, _>>());
-    }
-    let files = images.iter().map(|i| i.keys().collect::<Vec<_>>()).collect::<Vec<_>>();
-    assert!(images[0] == images[1], "durable files differ between the layouts: {files:?}");
-    for (dir, columnar) in dirs.iter().zip([true, false]) {
-        set_columnar_enabled(columnar);
-        let recovered = rows(durable(dir, EngineConfig::from_env()).db());
-        assert_eq!(recovered, rows(&model), "recovery of {dir:?} under the other layout");
-        let _ = std::fs::remove_dir_all(dir);
-    }
+    assert!(metrics::registry().wcoj_dispatches.get() > wcoj, "no generated join reached the WCOJ kernel");
+    let c = &modules.coverage;
+    eprintln!("differential coverage: {c:?}");
+    assert!(c.env_rules >= FLOOR_ENV_RULES && c.binary_dispatches >= FLOOR_BINARY, "{c:?}");
+    let IncrementalStats { recomputed, delta_seeded, .. } = c.maintenance;
+    assert!(recomputed >= FLOOR_RECOMPUTED && delta_seeded >= FLOOR_DELTA_SEEDED, "{c:?}");
+    assert!(c.rowwise_states >= FLOOR_ROWWISE, "{c:?}");
 }
 
 /// Eight threads executing one prepared read at once agree with a
@@ -768,30 +802,5 @@ fn concurrent_prepared_executes_match_a_sequential_run() {
                 assert_eq!(got.expect("concurrent execute"), sequential[c as usize], "?c = {c}");
             }
         });
-    }
-}
-
-/// One session, the layout flipped between its reads and commits: the
-/// generation-keyed caches never serve an answer built under the other
-/// layout.
-#[test]
-fn toggling_the_layout_between_commits_keeps_results() {
-    let _serial = Serial::take();
-    let mut tally = Tally::default();
-    let mut rng = StdRng::seed_from_u64(SEED - 3);
-    let p = program(&mut rng, false, true);
-    let mut s = Session::new(p.db.clone()).with_library(&p.library());
-    for round in 0..6 {
-        let ctx = format!("round {round}, library:\n{}", p.library());
-        let r = reference(&p, s.db(), &mut tally, &ctx);
-        for (columnar, layout) in [(true, "columns"), (false, "rows")] {
-            set_columnar_enabled(columnar);
-            for pred in &p.derived {
-                same(&ctx, layout, pred, Some(&s.eval("", pred).expect("evaluates")), r.get(pred));
-            }
-        }
-        set_columnar_enabled(round % 2 == 0);
-        let t = Txn { step: None, abort: false, ..txn(&mut rng, &p, s.db()) };
-        let _ = run(&mut s, &t); // a constraint abort serves as well as a commit
     }
 }
