@@ -5,8 +5,8 @@
 //! [crate-level table](crate#environment-variables)) is read here, once
 //! per process, and parsed by one parser per kind of value: an on/off
 //! switch (`0`/`false`/`off`/`no` against `1`/`true`/`on`/`yes`, trimmed,
-//! any case), a positive count, a number, and two enums ([`WcojMode`],
-//! and [`crate::FsyncPolicy`], which is built on the switch spelling).
+//! any case), a positive count, a number, and one enum
+//! ([`crate::FsyncPolicy`], which is built on the switch spelling).
 //! The modules that own a mechanism take their defaults from here and
 //! never look at the environment themselves.
 //!
@@ -20,11 +20,10 @@
 //!
 //! ```
 //! use rel_core::Database;
-//! use rel_engine::{EngineConfig, Session, WcojMode};
+//! use rel_engine::{EngineConfig, Session};
 //!
-//! let cfg = EngineConfig::from_env().wcoj(WcojMode::Force).watch_buffer(3);
+//! let cfg = EngineConfig::from_env().watch_buffer(3);
 //! let s = Session::with_config(Database::new(), cfg);
-//! assert_eq!(s.wcoj_mode(), WcojMode::Force);
 //! assert_eq!(s.watch_buffer(), 3);
 //! ```
 //!
@@ -38,12 +37,11 @@
 //! the same reason. Constructing a session never writes the switch
 //! unless its [`EngineConfig`] asks for a different value.
 //!
-//! Every switch tunes scheduling, caching, observability, durability, or
-//! delivery — never query semantics: results are byte-identical under
-//! every configuration. The differential harness (`tests/differential.rs`)
-//! holds every non-default value to the reference interpreter after each
-//! commit, and the tier-1 CI legs run the whole test corpus with each one
-//! set.
+//! Every switch tunes observability, durability, or delivery — none
+//! chooses which code path computes a result, and results are
+//! byte-identical under every configuration. The differential harness
+//! (`tests/differential.rs`) holds the non-default values to the
+//! reference interpreter after each commit.
 
 use crate::durability::{DurabilityConfig, FsyncPolicy};
 use crate::eval::WcojMode;
@@ -59,8 +57,8 @@ pub struct EngineConfig {
     // Inert, always `true`; kept only for benchmark/src/harness.rs's struct literal.
     #[doc(hidden)]
     pub incremental: bool,
-    /// Routing of multi-atom conjunctions through the leapfrog WCOJ
-    /// kernel (`REL_WCOJ`, default [`WcojMode::Auto`]). Per-session.
+    // Inert, always `Auto`; kept only for benchmark/src/harness.rs:105-121's struct literal.
+    #[doc(hidden)]
     pub wcoj: WcojMode,
     // Inert, always `true`; kept only for benchmark/src/harness.rs's struct literal.
     #[doc(hidden)]
@@ -97,18 +95,12 @@ impl EngineConfig {
         let env = env();
         EngineConfig {
             incremental: true,
-            wcoj: env.wcoj,
+            wcoj: WcojMode::Auto,
             columnar: true,
             metrics: metrics::enabled(),
             watch_buffer: env.watch_buffer,
             durability: DurabilityConfig::default(),
         }
-    }
-
-    /// Override the WCOJ routing mode (builder-style).
-    pub fn wcoj(mut self, mode: WcojMode) -> Self {
-        self.wcoj = mode;
-        self
     }
 
     /// Override the (process-wide) hot-path metrics switch (builder-style).
@@ -146,15 +138,12 @@ impl EngineConfig {
 /// The `REL_*` variables the engine reads, parsed.
 #[derive(Debug)]
 pub(crate) struct Env {
-    pub(crate) wcoj: WcojMode,
     /// `Some` only when `REL_METRICS` is set to a switch value.
     metrics: Option<bool>,
     pub(crate) watch_buffer: usize,
     pub(crate) fsync: FsyncPolicy,
     /// `REL_DURABILITY`: whether `Session::open` attaches a store.
     pub(crate) durable: bool,
-    /// `REL_EVAL_THREADS`, else the hardware parallelism capped at 8.
-    pub(crate) eval_threads: usize,
     pub(crate) slow_query_ms: Option<u64>,
 }
 
@@ -190,10 +179,6 @@ impl Env {
         let flag = |name: &str| get(name).as_deref().and_then(switch);
         let count = |name: &str| get(name)?.parse::<usize>().ok().filter(|&n| n >= 1);
         Env {
-            wcoj: match get("REL_WCOJ").as_deref() {
-                Some("force" | "always") => WcojMode::Force,
-                _ => WcojMode::Auto,
-            },
             metrics: flag("REL_METRICS"),
             watch_buffer: count("REL_WATCH_BUFFER").unwrap_or(DEFAULT_WATCH_BUFFER),
             fsync: match get("REL_FSYNC").as_deref() {
@@ -202,12 +187,6 @@ impl Env {
                 _ => FsyncPolicy::Batch,
             },
             durable: flag("REL_DURABILITY").unwrap_or(true),
-            eval_threads: count("REL_EVAL_THREADS").unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-                    .min(8)
-            }),
             slow_query_ms: get("REL_SLOW_QUERY_MS").and_then(|v| v.parse().ok()),
         }
     }
@@ -231,11 +210,9 @@ mod tests {
     fn unset_environment_gives_the_defaults() {
         let env = read(&[]);
         assert!(env.durable);
-        assert_eq!(env.wcoj, WcojMode::Auto);
         assert_eq!(env.metrics, None);
         assert_eq!(env.watch_buffer, DEFAULT_WATCH_BUFFER);
         assert_eq!(env.fsync, FsyncPolicy::Batch);
-        assert!(env.eval_threads >= 1);
         assert_eq!(env.slow_query_ms, None);
     }
 
@@ -265,25 +242,10 @@ mod tests {
 
     #[test]
     fn enums_and_numbers_parse() {
-        for (v, mode) in [
-            ("force", WcojMode::Force),
-            ("ALWAYS", WcojMode::Force),
-            ("auto", WcojMode::Auto),
-            ("0", WcojMode::Auto),
-        ] {
-            assert_eq!(read(&[("REL_WCOJ", v)]).wcoj, mode, "{v:?}");
-        }
         assert_eq!(read(&[("REL_FSYNC", "Always")]).fsync, FsyncPolicy::Always);
         assert_eq!(read(&[("REL_FSYNC", "batch")]).fsync, FsyncPolicy::Batch);
-        let env = read(&[
-            ("REL_WATCH_BUFFER", " 3 "),
-            ("REL_EVAL_THREADS", "5"),
-            ("REL_SLOW_QUERY_MS", "0"),
-        ]);
-        assert_eq!(
-            (env.watch_buffer, env.eval_threads, env.slow_query_ms),
-            (3, 5, Some(0))
-        );
+        let env = read(&[("REL_WATCH_BUFFER", " 3 "), ("REL_SLOW_QUERY_MS", "0")]);
+        assert_eq!((env.watch_buffer, env.slow_query_ms), (3, Some(0)));
         let env = read(&[("REL_WATCH_BUFFER", "0"), ("REL_SLOW_QUERY_MS", "-1")]);
         assert_eq!(
             env.watch_buffer, DEFAULT_WATCH_BUFFER,
@@ -294,11 +256,8 @@ mod tests {
 
     #[test]
     fn builder_overrides_reach_the_session() {
-        let cfg = EngineConfig::from_env()
-            .wcoj(WcojMode::Force)
-            .watch_buffer(3);
+        let cfg = EngineConfig::from_env().watch_buffer(3);
         let s = Session::with_config(Database::new(), cfg);
-        assert_eq!(s.wcoj_mode(), WcojMode::Force);
         assert_eq!(s.watch_buffer(), 3);
         let s = Session::with_config(Database::new(), cfg.watch_buffer(0));
         assert_eq!(s.watch_buffer(), 1, "the buffer is clamped to one batch");

@@ -72,19 +72,6 @@ impl Default for DurabilityConfig {
     }
 }
 
-/// How many fsyncs the durability layer has issued since process start
-/// (WAL syncs and snapshot syncs alike). Monotone; compare two readings
-/// to count the syncs a workload performed. The counter is
-/// process-global, so tests asserting on deltas must not run
-/// concurrently with other fsync-heavy tests in the same binary.
-///
-/// Thin shim over the `fsyncs` counter of [`crate::metrics::registry`]
-/// (which absorbed the old file-local static); prefer reading the
-/// registry directly.
-pub fn fsync_count() -> u64 {
-    crate::metrics::registry().fsyncs.get()
-}
-
 pub(crate) fn note_fsync() {
     crate::metrics::registry().fsyncs.incr();
 }

@@ -1,10 +1,10 @@
 //! The core evaluator: formula evaluation over environment batches
 //! (with greedy sideways-information-passing scheduling, and a
-//! worst-case-optimal escape for multi-atom joins — qualifying groups of
-//! positive atoms are handed whole to the leapfrog triejoin kernel, see
-//! [`WcojMode`]) and **open expression evaluation** (relation-valued
-//! expressions that may bind their own free variables — the mechanism
-//! behind grouped aggregation, demand-driven predicates, and
+//! worst-case-optimal escape for multi-atom joins — a variable-connected
+//! group of at least [`WCOJ_MIN_ATOMS`] positive atoms is handed whole to
+//! the leapfrog triejoin kernel) and **open expression evaluation**
+//! (relation-valued expressions that may bind their own free variables —
+//! the mechanism behind grouped aggregation, demand-driven predicates, and
 //! generator-style `where`).
 //!
 //! A rule `def p(params) : body` is evaluated by running the body's
@@ -19,7 +19,7 @@
 //! lowers to — grouped `Reduce` over a prefix application, and
 //! `LeftOverride` with a constant default — run as single sorted walks
 //! (`try_fused_open`). Every fused path is bit-identical to the
-//! generic evaluator; `REL_WCOJ=force` disables them.
+//! generic evaluator.
 
 use crate::builtins;
 use crate::env::{Env, EnvVal};
@@ -74,10 +74,6 @@ pub struct EvalCtx<'a> {
     /// hence across fixpoint iterations and scheduler threads): see
     /// [`SharedIndexCache`].
     indexes: SharedIndexCache,
-    /// The profile sink installed on the cache at construction time, if
-    /// any — cached here so the per-rule/per-join hot paths pay an
-    /// `Option` check instead of an `RwLock` read.
-    profile: Option<Arc<ProfileSink>>,
 }
 
 /// Key of a demand-evaluation memo entry: predicate and bound prefix.
@@ -104,41 +100,18 @@ fn prefix_run<'r>(rows: &'r [Tuple], key: &[Value]) -> &'r [Tuple] {
 /// threads, and session queries.
 type TrieCache = HashMap<(Name, Vec<usize>), (u64, Arc<SortedRel>)>;
 
-/// How `eval_conj` routes multi-atom conjunctions through the leapfrog
-/// worst-case-optimal join kernel ([`crate::leapfrog`]).
-///
-/// The default comes from the `REL_WCOJ` environment variable (resolved
-/// by [`crate::config`]); [`crate::EngineConfig::wcoj`] sets it per
-/// session. Both modes produce byte-identical results. Conjunctions that
-/// leave no eligible group take the greedy binary-join scheduler.
+// Inert, only `Auto`; kept only for benchmark/src/harness.rs:105-121's struct literal.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WcojMode {
-    /// Route a conjunction through leapfrog when at least
-    /// [`WCOJ_MIN_ATOMS`] eligible atoms form a variable-connected group
-    /// (the cyclic-join shapes — triangles, paths-with-closure — where
-    /// worst-case optimality pays).
     Auto,
-    /// Threshold 0: every eligible atom group routes through leapfrog,
-    /// connected or not, however small. Used by the `kernels-forced` CI
-    /// leg and one configuration of the differential harness
-    /// (`tests/differential.rs`) to drag the WCOJ path over every query
-    /// shape.
-    Force,
 }
 
 /// Minimum size of a variable-connected eligible atom group for
-/// [`WcojMode::Auto`] to choose the WCOJ plan.
+/// `eval_conj` to route it through the leapfrog kernel (the cyclic-join
+/// shapes — triangles, paths-with-closure — where worst-case optimality
+/// pays). Smaller groups take the greedy binary-join scheduler.
 pub const WCOJ_MIN_ATOMS: usize = 3;
-
-impl WcojMode {
-    /// Smallest eligible atom group this mode hands to leapfrog.
-    fn min_atoms(self) -> usize {
-        match self {
-            WcojMode::Auto => WCOJ_MIN_ATOMS,
-            WcojMode::Force => 1,
-        }
-    }
-}
 
 /// A cloneable handle to the shared evaluation cache — permuted sorted
 /// views of relations ([`SortedRel`]: the tries of the leapfrog and fused
@@ -147,11 +120,10 @@ impl WcojMode {
 /// handle through every iteration's context, so views over *unchanged*
 /// relations (the EDB, already-materialized strata, stable SCC members)
 /// are built once and reused; only entries over relations whose
-/// generation moved are rebuilt. Cloning the handle shares the cache. The
-/// handle also carries the evaluation's [`WcojMode`], fixed when the
-/// handle is made, so a session's mode reaches every evaluator the session
-/// spawns (fixpoint workers, transactions, incremental restarts) through
-/// the plumbing the cache already rides.
+/// generation moved are rebuilt. Cloning the handle shares the cache,
+/// and the cache is all it shares: a profiled evaluation runs on a
+/// private copy of the handle that carries its [`ProfileSink`], so one
+/// evaluation's profile never reaches another's evaluators.
 ///
 /// The handle is `Arc`-of-locks-based and therefore `Send + Sync`: the
 /// parallel stratum scheduler shares one cache across all of its worker
@@ -161,65 +133,39 @@ impl WcojMode {
 /// concurrent reader can never be handed a view that disagrees with the
 /// relation state it is evaluating against — at worst two threads build
 /// the same view once each and the last write wins.
-#[derive(Clone)]
-pub struct SharedIndexCache(Arc<CacheState>);
-
-struct CacheState {
-    tries: RwLock<TrieCache>,
-    wcoj: WcojMode,
-    /// Profile sink for the evaluation currently running against this
-    /// handle, if one is installed (see [`crate::profile::ProfileSink`]).
-    /// Contexts read it once at construction, so installing a sink
-    /// affects evaluators created after the install.
-    profile: RwLock<Option<Arc<ProfileSink>>>,
-}
-
-impl Default for SharedIndexCache {
-    fn default() -> Self {
-        SharedIndexCache::with_wcoj(crate::config::env().wcoj)
-    }
+#[derive(Clone, Default)]
+pub struct SharedIndexCache {
+    tries: Arc<RwLock<TrieCache>>,
+    /// The sink of the one evaluation this copy of the handle was made
+    /// for ([`Self::profiled`]); never shared with the original.
+    profile: Option<Arc<ProfileSink>>,
 }
 
 impl std::fmt::Debug for SharedIndexCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SharedIndexCache({} tries, wcoj {:?})", self.len(), self.wcoj_mode())
+        write!(f, "SharedIndexCache({} tries)", self.len())
     }
 }
 
 impl SharedIndexCache {
-    /// A fresh cache with an explicit WCOJ routing mode (the default
-    /// constructor takes `REL_WCOJ`'s).
-    pub fn with_wcoj(mode: WcojMode) -> Self {
-        SharedIndexCache(Arc::new(CacheState {
-            tries: RwLock::new(HashMap::new()),
-            wcoj: mode,
-            profile: RwLock::new(None),
-        }))
-    }
-
     fn read(&self) -> std::sync::RwLockReadGuard<'_, TrieCache> {
-        self.0.tries.read().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.tries.read().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn write(&self) -> std::sync::RwLockWriteGuard<'_, TrieCache> {
-        self.0.tries.write().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.tries.write().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The WCOJ routing mode of every evaluator sharing this handle.
-    pub fn wcoj_mode(&self) -> WcojMode {
-        self.0.wcoj
+    /// A copy of the handle that shares this one's tries and ticks `sink`
+    /// from every evaluator made with it. The original and its other
+    /// clones stay unprofiled.
+    pub(crate) fn profiled(&self, sink: Arc<ProfileSink>) -> Self {
+        SharedIndexCache { tries: Arc::clone(&self.tries), profile: Some(sink) }
     }
 
-    /// Install (or clear) the profile sink evaluators created against
-    /// this handle will tick. One sink belongs to one profiled
-    /// evaluation; the caller clears it when the evaluation finishes.
-    pub(crate) fn set_profile(&self, sink: Option<Arc<ProfileSink>>) {
-        *self.0.profile.write().unwrap_or_else(std::sync::PoisonError::into_inner) = sink;
-    }
-
-    /// The currently installed profile sink, if any.
-    pub(crate) fn profile(&self) -> Option<Arc<ProfileSink>> {
-        self.0.profile.read().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+    /// The profile sink this handle carries, if any.
+    pub(crate) fn profile(&self) -> Option<&Arc<ProfileSink>> {
+        self.profile.as_ref()
     }
 
     /// Number of cached entries (diagnostics/tests).
@@ -268,14 +214,12 @@ impl<'a> EvalCtx<'a> {
         rels: &'a BTreeMap<Name, Relation>,
         cache: SharedIndexCache,
     ) -> Self {
-        let profile = cache.profile();
         EvalCtx {
             module,
             rels,
             demand_memo: RwLock::new(HashMap::new()),
             demand_stacks: Mutex::new(HashMap::new()),
             indexes: cache,
-            profile,
         }
     }
 
@@ -287,7 +231,7 @@ impl<'a> EvalCtx<'a> {
         if metrics::enabled() {
             counter(metrics::registry()).incr();
         }
-        if let Some(sink) = &self.profile {
+        if let Some(sink) = &self.indexes.profile {
             tick(sink);
         }
     }
@@ -407,10 +351,8 @@ impl<'a> EvalCtx<'a> {
     /// head plan itself; the final [`Relation::from_tuples`] build
     /// canonicalizes order and duplicates either way.
     ///
-    /// Off under [`WcojMode::Force`], which exists to drag every eligible
-    /// conjunction through the leapfrog kernel for testing. Returns
-    /// `false` (emitting nothing) when the shape is ineligible and the
-    /// generic evaluator should proceed.
+    /// Returns `false` (emitting nothing) when the shape is ineligible
+    /// and the generic evaluator should proceed.
     fn try_fused_formula(
         &self,
         rule: &Rule,
@@ -418,9 +360,6 @@ impl<'a> EvalCtx<'a> {
         seed: &Env,
         out: &mut Vec<Tuple>,
     ) -> bool {
-        if self.indexes.wcoj_mode() == WcojMode::Force {
-            return false;
-        }
         // Only top-level materialization: a seeded env (demand evaluation,
         // constraint checking) takes the generic path.
         if (0..seed.len()).any(|v| seed.get(v as Var).is_some()) {
@@ -559,9 +498,6 @@ impl<'a> EvalCtx<'a> {
         seed: &Env,
         out: &mut Vec<Tuple>,
     ) -> Option<RelResult<()>> {
-        if self.indexes.wcoj_mode() == WcojMode::Force {
-            return None;
-        }
         // Only top-level materialization; a seeded env takes the generic path.
         if (0..seed.len()).any(|v| seed.get(v as Var).is_some()) {
             return None;
@@ -1115,16 +1051,13 @@ impl<'a> EvalCtx<'a> {
     }
 
     /// Select a group of pending conjuncts for the WCOJ path, returning
-    /// their indexes (ascending). In [`WcojMode::Auto`], the largest
-    /// variable-connected component of eligible atoms is chosen when it
-    /// has at least [`WCOJ_MIN_ATOMS`] members (two atoms are connected
-    /// when they share a variable unbound in the current batch — the
-    /// genuinely joining shapes); [`WcojMode::Force`] takes every
-    /// eligible atom. Returns `None` when the binary-join scheduler
-    /// should proceed instead.
+    /// their indexes (ascending): the largest variable-connected
+    /// component of eligible atoms, when it has at least
+    /// [`WCOJ_MIN_ATOMS`] members (two atoms are connected when they share
+    /// a variable unbound in the current batch — the genuinely joining
+    /// shapes). Returns `None` when the binary-join scheduler should
+    /// proceed instead.
     fn plan_wcoj(&self, pending: &[&Formula], bound: &BTreeSet<Var>) -> Option<Vec<usize>> {
-        let mode = self.indexes.wcoj_mode();
-        let min_atoms = mode.min_atoms();
         let elig: Vec<(usize, BTreeSet<Var>)> = pending
             .iter()
             .enumerate()
@@ -1141,11 +1074,8 @@ impl<'a> EvalCtx<'a> {
                 })
             })
             .collect();
-        if elig.len() < min_atoms {
+        if elig.len() < WCOJ_MIN_ATOMS {
             return None;
-        }
-        if mode == WcojMode::Force {
-            return Some(elig.into_iter().map(|(i, _)| i).collect());
         }
         // Union-find over the eligible atoms, connected by shared free
         // variables.
@@ -1184,7 +1114,7 @@ impl<'a> EvalCtx<'a> {
         let best = components
             .into_values()
             .max_by(|a, b| a.len().cmp(&b.len()).then(b[0].cmp(&a[0])))?;
-        (best.len() >= min_atoms).then_some(best)
+        (best.len() >= WCOJ_MIN_ATOMS).then_some(best)
     }
 
     /// Evaluate a group of positive atoms as one leapfrog triejoin,
@@ -2833,89 +2763,111 @@ mod tests {
         env
     }
 
+    /// A 7-node graph dense enough for many triangles, with two loops.
+    fn graph_edges() -> Vec<(i64, i64)> {
+        let mut edges: Vec<(i64, i64)> = (0..7)
+            .flat_map(|a| (0..7).map(move |b| (a, b)))
+            .filter(|&(a, b)| a != b && (a * 3 + b * 5) % 7 < 4)
+            .collect();
+        edges.extend([(2, 2), (5, 5)]);
+        edges
+    }
+
+    fn graph_fixture() -> (Module, BTreeMap<Name, Relation>) {
+        let (module, mut rels) = ctx_fixture();
+        let e = Relation::from_tuples(graph_edges().into_iter().map(|(a, b)| tuple![a, b]));
+        rels.insert(rel_core::name("E"), e);
+        (module, rels)
+    }
+
+    /// Every `(a, b, c)` with `E(a,b)`, `E(b,c)` and `E(a,c)`, by nested
+    /// loops over [`graph_edges`].
+    fn triangles_brute_force() -> Vec<[i64; 3]> {
+        let edges = graph_edges();
+        let mut out: Vec<[i64; 3]> = Vec::new();
+        for &(a, b) in &edges {
+            for &(_, c) in edges.iter().filter(|&&(x, _)| x == b) {
+                if edges.contains(&(a, c)) {
+                    out.push([a, b, c]);
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Evaluate `f` from `seed` on a fresh profiled cache: the sorted
+    /// environments and the leapfrog dispatches.
+    fn eval_with_sink(
+        module: &Module,
+        rels: &BTreeMap<Name, Relation>,
+        f: &Formula,
+        seed: Env,
+    ) -> (Vec<Env>, u64) {
+        let sink = Arc::new(ProfileSink::new());
+        let cx = EvalCtx::with_cache(module, rels, SharedIndexCache::default().profiled(Arc::clone(&sink)));
+        let mut envs = cx.eval_formula(f, vec![seed]).unwrap();
+        envs.sort_unstable();
+        (envs, sink.counts().wcoj_joins)
+    }
+
     #[test]
     fn wcoj_triangle_matches_brute_force_and_routes() {
+        let (module, rels) = graph_fixture();
+        let (envs, joins) = eval_with_sink(&module, &rels, &triangle_conj(), Env::new(3));
+        let expected: Vec<Env> = triangles_brute_force().iter().map(|t| bound(t)).collect();
+        assert!(expected.len() > 5, "the fixture has many triangles");
+        assert_eq!(envs, expected);
+        assert!(joins >= 1, "a 3-atom cyclic conjunction routes through leapfrog");
         let (module, rels) = ctx_fixture();
-        let run = |mode: WcojMode| -> (Vec<Env>, u64) {
-            let cache = SharedIndexCache::with_wcoj(mode);
-            let sink = Arc::new(ProfileSink::new());
-            cache.set_profile(Some(Arc::clone(&sink)));
-            let cx = EvalCtx::with_cache(&module, &rels, cache.clone());
-            let mut envs = cx.eval_formula(&triangle_conj(), vec![Env::new(3)]).unwrap();
-            envs.sort_unstable();
-            (envs, sink.counts().wcoj_joins)
-        };
-        let (auto, auto_joins) = run(WcojMode::Auto);
-        let (forced, forced_joins) = run(WcojMode::Force);
-        assert_eq!(auto, vec![bound(&[1, 2, 3])], "fixture has exactly one triangle");
-        assert_eq!(auto, forced);
-        assert!(auto_joins >= 1, "a 3-atom cyclic conjunction must route in Auto");
-        assert!(forced_joins >= 1);
+        let (envs, _) = eval_with_sink(&module, &rels, &triangle_conj(), Env::new(3));
+        assert_eq!(envs, vec![bound(&[1, 2, 3])], "the small fixture has exactly one triangle");
     }
 
     #[test]
     fn wcoj_respects_prebound_variables() {
-        // Seed the batch with a = 1 bound: the WCOJ path must pin it via
-        // a singleton atom and produce exactly the one triangle through 1.
-        let (module, rels) = ctx_fixture();
-        let mut seed = Env::new(3);
-        seed.bind(0, EnvVal::Val(Value::int(1)));
-        let run = |mode: WcojMode| {
-            let cx =
-                EvalCtx::with_cache(&module, &rels, SharedIndexCache::with_wcoj(mode));
-            let mut envs = cx.eval_formula(&triangle_conj(), vec![seed.clone()]).unwrap();
-            envs.sort_unstable();
-            envs
-        };
-        assert_eq!(run(WcojMode::Force), vec![bound(&[1, 2, 3])]);
-        assert_eq!(run(WcojMode::Auto), run(WcojMode::Force));
-        // A binding with no triangle: empty either way.
-        let mut dead = Env::new(3);
-        dead.bind(0, EnvVal::Val(Value::int(3)));
-        let cx = EvalCtx::with_cache(
-            &module,
-            &rels,
-            SharedIndexCache::with_wcoj(WcojMode::Force),
-        );
-        assert!(cx.eval_formula(&triangle_conj(), vec![dead]).unwrap().is_empty());
+        // Seed the batch with a bound: the WCOJ path pins it via a
+        // singleton atom and produces exactly the triangles through it.
+        let (module, rels) = graph_fixture();
+        let all = triangles_brute_force();
+        for a in 0..8 {
+            let mut seed = Env::new(3);
+            seed.bind(0, EnvVal::Val(Value::int(a)));
+            let (envs, joins) = eval_with_sink(&module, &rels, &triangle_conj(), seed);
+            let expected: Vec<Env> = all.iter().filter(|t| t[0] == a).map(|t| bound(t)).collect();
+            assert_eq!(envs, expected, "a = {a}");
+            assert!(joins >= 1, "b and c still join three atoms");
+        }
     }
 
     #[test]
     fn wcoj_excludes_ineligible_atoms() {
-        // Repeated in-atom variables and numeric constants stay on the
-        // binary path (wcoj_atom rejects them); the conjunction as a
-        // whole must still agree across modes. Under Auto the two
-        // eligible atoms are too few to route, so Auto is the binary path.
-        let (module, rels) = ctx_fixture();
-        let e = |args: Vec<Term>| {
-            Formula::Atom(Atom { pred: rel_core::name("E"), args })
-        };
-        let f = Formula::Conj(vec![
-            e(vec![Term::Var(0), Term::Var(1)]),
-            e(vec![Term::Var(1), Term::Var(2)]),
-            e(vec![Term::Const(Value::int(1)), Term::Var(2)]),
-            e(vec![Term::Var(3), Term::Var(3)]), // no loops: empties the result
-        ]);
-        let run = |f: &Formula, mode: WcojMode| {
-            let cx =
-                EvalCtx::with_cache(&module, &rels, SharedIndexCache::with_wcoj(mode));
-            let mut envs = cx.eval_formula(f, vec![Env::new(4)]).unwrap();
-            envs.sort_unstable();
-            envs
-        };
-        assert!(run(&f, WcojMode::Auto).is_empty());
-        assert!(run(&f, WcojMode::Force).is_empty());
-        // Without the loop atom: the path 1 -> 2 -> 3 and its x = 1 end.
-        let Formula::Conj(atoms) = &f else { unreachable!() };
-        let open = Formula::Conj(atoms[..3].to_vec());
-        assert_eq!(run(&open, WcojMode::Auto), run(&open, WcojMode::Force));
-        assert_eq!(run(&open, WcojMode::Auto).len(), 1);
+        // A numeric constant and a repeated in-atom variable make atoms
+        // ineligible (wcoj_atom rejects them): the triangle routes through
+        // leapfrog, and the other two atoms join its output pairwise.
+        let (module, rels) = graph_fixture();
+        let e = |args: Vec<Term>| Formula::Atom(Atom { pred: rel_core::name("E"), args });
+        let Formula::Conj(mut conj) = triangle_conj() else { unreachable!() };
+        conj.push(e(vec![Term::Var(2), Term::Const(Value::int(1))]));
+        conj.push(e(vec![Term::Var(3), Term::Var(3)]));
+        let (envs, joins) = eval_with_sink(&module, &rels, &Formula::Conj(conj), Env::new(4));
+        let edges = graph_edges();
+        let mut expected: Vec<Env> = Vec::new();
+        for [a, b, c] in triangles_brute_force().into_iter().filter(|t| edges.contains(&(t[2], 1))) {
+            for &(d, _) in edges.iter().filter(|&&(x, y)| x == y) {
+                expected.push(bound(&[a, b, c, d]));
+            }
+        }
+        expected.sort_unstable();
+        assert!(!expected.is_empty());
+        assert_eq!(envs, expected);
+        assert!(joins >= 1);
     }
 
     #[test]
     fn wcoj_tries_are_cached_by_generation() {
         let (module, rels) = ctx_fixture();
-        let cache = SharedIndexCache::with_wcoj(WcojMode::Force);
+        let cache = SharedIndexCache::default();
         let cx = EvalCtx::with_cache(&module, &rels, cache.clone());
         cx.eval_formula(&triangle_conj(), vec![Env::new(3)]).unwrap();
         let after_first = cache.len();
@@ -2935,9 +2887,8 @@ mod tests {
     #[test]
     fn stale_rebuild_counts_as_build_not_reuse() {
         let (module, rels) = ctx_fixture();
-        let cache = SharedIndexCache::default();
         let sink = Arc::new(ProfileSink::new());
-        cache.set_profile(Some(Arc::clone(&sink)));
+        let cache = SharedIndexCache::default().profiled(Arc::clone(&sink));
         let cx = EvalCtx::with_cache(&module, &rels, cache.clone());
         let e = rel_core::name("E");
 
@@ -2969,7 +2920,6 @@ mod tests {
         let c = sink.counts();
         assert_eq!((c.index_builds, c.index_reuses), (2, 1));
         assert_eq!((c.trie_builds, c.trie_reuses), (2, 1));
-        cache.set_profile(None);
     }
 
     #[test]

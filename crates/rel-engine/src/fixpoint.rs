@@ -7,7 +7,7 @@
 //!   semantics deduplicates the overlap). Δ overlays live in the ordinary
 //!   relation map, so `eval_conj`'s WCOJ planner treats a Δ-focused atom
 //!   like any other materialized atom — recursive strata route through
-//!   the leapfrog kernel too (see [`crate::eval::WcojMode`]).
+//!   the leapfrog kernel too (see [`crate::eval::WCOJ_MIN_ATOMS`]).
 //! * Recursive **non-monotone** strata (Rel's non-stratified programs,
 //!   Addendum A): partial-fixpoint (PFP) iteration — synchronously
 //!   recompute every SCC predicate from the previous iterate until two
@@ -32,9 +32,9 @@
 //! contents *and* iteration order — is byte-identical to sequential
 //! evaluation no matter how the schedule interleaves.
 //!
-//! Worker count defaults to the available hardware parallelism and can be
-//! pinned with the `REL_EVAL_THREADS` environment variable (`1` forces
-//! the sequential path).
+//! The worker count is the available hardware parallelism ([`eval_threads`]);
+//! [`materialize_with_threads`] takes an explicit one (`1` is the
+//! sequential path).
 
 use crate::env::Env;
 use crate::eval::{EvalCtx, SharedIndexCache};
@@ -79,12 +79,13 @@ pub fn materialize_with_cache(
     materialize_with_threads(module, db, cache, eval_threads())
 }
 
-/// The scheduler's worker count: the `REL_EVAL_THREADS` environment
-/// variable when set to a positive integer, otherwise (unset, empty, or
-/// unparsable) the available hardware parallelism (capped at 8 — stratum
-/// DAGs rarely go wider). Resolved once per process by [`crate::config`].
+/// The scheduler's worker count: the available hardware parallelism,
+/// capped at 8 (stratum DAGs rarely go wider). Resolved once per process.
 pub fn eval_threads() -> usize {
-    crate::config::env().eval_threads
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1).min(8)
+    })
 }
 
 /// [`materialize_with_cache`] with an explicit worker count. `threads <= 1`
@@ -954,7 +955,6 @@ mod tests {
         // occurrence per variant to the Δ relation, and the WCOJ planner
         // must pick the rewritten atom group up exactly like any other
         // materialized relation (Δ overlays live in the same rels map).
-        use crate::eval::WcojMode;
         let module = rel_sema::compile(
             "def P(x,y) : E(x,y)\n\
              def P(x,y) : exists((z, w) | E(x,z) and P(z,w) and E(w,y))",
@@ -980,15 +980,12 @@ mod tests {
             }
         }
         let want = Relation::from_tuples(want.into_iter().map(|(a, b)| tuple![a, b]));
-        for mode in [WcojMode::Auto, WcojMode::Force] {
-            let cache = SharedIndexCache::with_wcoj(mode);
-            let sink = std::sync::Arc::new(crate::profile::ProfileSink::new());
-            cache.set_profile(Some(sink.clone()));
-            let got = materialize_with_threads(&module, &db, cache, 1).unwrap();
-            assert_eq!(got[&rel_core::name("P")], want, "{mode:?} diverged in a recursive stratum");
-            let joins = sink.counts().wcoj_joins;
-            assert!(joins > 1, "{mode:?}: expected leapfrog joins across semi-naive iterations, got {joins}");
-        }
+        let sink = std::sync::Arc::new(crate::profile::ProfileSink::new());
+        let cache = SharedIndexCache::default().profiled(sink.clone());
+        let got = materialize_with_threads(&module, &db, cache, 1).unwrap();
+        assert_eq!(got[&rel_core::name("P")], want, "diverged in a recursive stratum");
+        let joins = sink.counts().wcoj_joins;
+        assert!(joins > 1, "expected leapfrog joins across semi-naive iterations, got {joins}");
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! shared index cache, so a trie is built once per relation state and
 //! then shared read-only across fixpoint iterations and scheduler worker
 //! threads; per-join state is only the lightweight trie-cursor stack.
-//! The `REL_WCOJ` environment variable / `EngineConfig::wcoj` select the
-//! routing mode (see [`crate::eval::WcojMode`]).
+//! The planner routes variable-connected groups of at least
+//! [`crate::WCOJ_MIN_ATOMS`] atoms here; nothing else selects the kernel.
 //!
 //! The same cache also serves atoms whose bound positions are not a
 //! prefix of their arguments: `eval` permutes the relation key positions

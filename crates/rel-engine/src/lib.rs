@@ -84,7 +84,7 @@
 //!   recursion, partial-fixpoint iteration for Rel's non-stratified
 //!   programs (Addendum A); zero-copy over the CoW relations of
 //!   `rel-core`; a parallel scheduler walks the stratum DAG with scoped
-//!   worker threads (`REL_EVAL_THREADS` pins the worker count);
+//!   worker threads, one per core up to 8 ([`eval_threads`]);
 //! * [`library`] — the installed library as part of the database: the
 //!   one maintained library state (derived relations plus the verdict of
 //!   the library's constraints) and the split of every compiled module
@@ -102,16 +102,17 @@
 //!   (the substrate the paper credits for making GNF practical, §7).
 //!   `eval`'s conjunction scheduler routes qualifying multi-atom groups
 //!   (triangles, cyclic joins) through it, over permuted sorted tries
-//!   cached generation-keyed in the shared index cache. The routing mode
-//!   is `REL_WCOJ` / [`EngineConfig::wcoj`] ([`WcojMode`]): `auto` routes
-//!   connected groups of at least [`WCOJ_MIN_ATOMS`] atoms, `force` drags
-//!   every eligible conjunction through the kernel; both modes produce
-//!   byte-identical results;
+//!   cached generation-keyed in the shared index cache. It takes every
+//!   variable-connected group of at least [`WCOJ_MIN_ATOMS`] eligible
+//!   atoms; smaller groups take pairwise joins, and no switch changes
+//!   that routing;
 //! * [`metrics`] / [`profile`] — engine-wide observability: a
 //!   process-wide registry of atomic counters and latency histograms
 //!   (zero-cost no-ops unless `REL_METRICS` / [`metrics::set_metrics`]
-//!   turns them on), plus per-query [`QueryProfile`]s from
-//!   [`Session::query_profiled`] / [`Prepared::execute_profiled`] —
+//!   turns them on; the cold-path counters — commits, WAL bytes, fsyncs —
+//!   always tick), plus per-query [`QueryProfile`]s from
+//!   [`Session::query_profiled`] / [`Prepared::execute_profiled`], each
+//!   ticked by its own evaluation only —
 //!   per-stratum wall time and iteration counts, join-kernel choice,
 //!   cache outcomes, incremental classification — with an EXPLAIN-style
 //!   text renderer;
@@ -138,8 +139,6 @@
 //!
 //! | Variable | Values | Default | Effect |
 //! |----------|--------|---------|--------|
-//! | `REL_EVAL_THREADS` | positive integer | # cores (≤ 8) | Worker threads per fixpoint run ([`eval_threads`]); `1` is fully sequential. |
-//! | `REL_WCOJ` | `force`/`always`, else auto | auto | Routing of multi-atom conjunctions through the leapfrog WCOJ kernel ([`EngineConfig::wcoj`] per session). Results are byte-identical in both modes. |
 //! | `REL_DURABILITY` | switch | on | Whether [`Session::open`] actually attaches durable storage; off, it returns a plain ephemeral session without touching disk. |
 //! | `REL_FSYNC` | `always`, `batch`, switch off | `batch` | When WAL appends reach stable storage ([`FsyncPolicy`]; [`EngineConfig::durability`] per session via [`Session::open_with`]). |
 //! | `REL_WATCH_BUFFER` | positive integer | `64` | Delivery buffer of a standing query ([`Session::watch`]), in [`WatchDelta`] batches: a subscriber further behind than this goes *lagged* — commits stop buffering deltas for it and the next in-cone commit after it drains coalesces everything missed into one resync snapshot ([`EngineConfig::watch_buffer`] per session). |

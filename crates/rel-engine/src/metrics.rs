@@ -21,10 +21,9 @@
 //! **Cold-path counters record unconditionally**, gate or no gate:
 //! commits, aborts, WAL bytes, fsyncs, compactions, and snapshot
 //! publications are per-commit events whose cost is noise next to the
-//! I/O they describe — and pre-existing consumers (the group-commit
-//! tests and benchmarks built on [`crate::durability::fsync_count`],
-//! which is now a shim over this registry) rely on them ticking without
-//! any environment setup.
+//! I/O they describe — and consumers such as the group-commit tests,
+//! which count syncs as deltas of `registry().fsyncs`, rely on them
+//! ticking without any environment setup.
 //!
 //! ## Monotonicity
 //!
@@ -222,8 +221,10 @@ pub struct Registry {
     pub aborts: Counter,
     /// Bytes appended to write-ahead logs (cold path: always counted).
     pub wal_bytes: Counter,
-    /// fsync/fdatasync calls issued by the durability layer (cold path:
-    /// always counted — [`crate::durability::fsync_count`] reads this).
+    /// fsync/fdatasync calls issued by the durability layer, WAL and
+    /// snapshot syncs alike (cold path: always counted). Process-global:
+    /// a test asserting on its deltas must not share a binary with other
+    /// tests that sync concurrently.
     pub fsyncs: Counter,
     /// WAL-into-snapshot compactions completed (cold path).
     pub compactions: Counter,

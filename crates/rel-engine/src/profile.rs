@@ -1,9 +1,10 @@
 //! Per-query profiles: what the engine actually did for one evaluation.
 //!
-//! A [`ProfileSink`] is attached to a [`crate::SharedIndexCache`] for the
-//! duration of one profiled evaluation
+//! A [`ProfileSink`] belongs to one profiled evaluation
 //! ([`crate::Session::query_profiled`] /
-//! [`crate::Prepared::execute_profiled`]); the evaluator's dispatch
+//! [`crate::Prepared::execute_profiled`]) and rides the index-cache handle
+//! that evaluation runs on, a private copy no other evaluation shares;
+//! the evaluator's dispatch
 //! points — join-kernel choice, fused-rule recognition, sorted-view cache
 //! lookups (non-prefix probes and kernel tries), fixpoint iterations —
 //! tick its atomic counters, and the
@@ -44,9 +45,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Kernel/cache event counters ticked by the evaluator while a profile
-/// sink is installed on the cache (see module docs). All relaxed: a sink
-/// belongs to one evaluation.
+/// Kernel/cache event counters ticked by the evaluators of one profiled
+/// evaluation (see module docs). All relaxed: a sink belongs to one
+/// evaluation.
 #[derive(Debug, Default)]
 pub struct ProfileSink {
     iterations: AtomicU64,

@@ -215,7 +215,7 @@ impl Session {
         Session {
             db,
             library: String::new(),
-            index_cache: SharedIndexCache::with_wcoj(cfg.wcoj),
+            index_cache: SharedIndexCache::default(),
             library_compiled: Arc::default(),
             library_state: RwLock::new(None),
             module_cache: Arc::new(RwLock::new(LruMap::new(MODULE_CACHE_CAP))),
@@ -438,11 +438,6 @@ impl Session {
         // cache out with the module cache (clones on the old library keep
         // both of theirs).
         self.fixpoint_cache = Arc::new(RwLock::new(LruMap::new(FIXPOINT_CACHE_CAP)));
-    }
-
-    /// The session's WCOJ routing mode.
-    pub fn wcoj_mode(&self) -> crate::WcojMode {
-        self.index_cache.wcoj_mode()
     }
 
     /// Is the process-wide hot-path metrics switch on?
@@ -684,10 +679,11 @@ impl Session {
     }
 
     /// Shared profiled-evaluation harness ([`Session::query_profiled`],
-    /// [`crate::Prepared::execute_profiled`]): install a fresh sink on the
-    /// index cache, run `eval`, uninstall, and assemble the
-    /// [`QueryProfile`] (recording query latency and the slow-query log
-    /// on the way out).
+    /// [`crate::Prepared::execute_profiled`]): run `eval` on a clone whose
+    /// index-cache handle carries a fresh sink (it shares the tries and
+    /// every other cache, but no other evaluation ticks the sink), and
+    /// assemble the [`QueryProfile`] (recording query latency and the
+    /// slow-query log on the way out).
     pub(crate) fn run_profiled<T>(
         &self,
         start: std::time::Instant,
@@ -695,9 +691,11 @@ impl Session {
         eval: impl FnOnce(&Session) -> RelResult<(T, FixpointOutcome)>,
     ) -> RelResult<(T, QueryProfile)> {
         let sink = Arc::new(ProfileSink::new());
-        self.index_cache.set_profile(Some(Arc::clone(&sink)));
-        let result = eval(self);
-        self.index_cache.set_profile(None);
+        let mut profiled = self.clone();
+        profiled.index_cache = self.index_cache.profiled(Arc::clone(&sink));
+        let result = eval(&profiled);
+        // Keep the library state the read advanced, as an unprofiled read does.
+        *write(&self.library_state) = profiled.stored_library_state();
         let (value, fixpoint) = result?;
         let profile = QueryProfile {
             wall: start.elapsed(),
@@ -850,7 +848,6 @@ pub fn eval_constraint(cx: &EvalCtx<'_>, c: &ConstraintIr) -> RelResult<Relation
 mod tests {
     use super::*;
     use crate::durability::{DurabilityConfig, FsyncPolicy};
-    use crate::WcojMode;
     use rel_core::database::figure1_database;
     use rel_core::tuple;
 
@@ -1108,37 +1105,47 @@ mod tests {
         db
     }
 
-    #[test]
-    fn wcoj_modes_agree_on_query_results() {
-        // A fresh session per run: its first query runs the join, where a
-        // repeat would be served from the fixpoint cache.
-        let src = "def output(a,b,c) : E(a,b) and E(b,c) and E(a,c)";
-        let run = |mode: WcojMode| {
-            let s = Session::with_config(triangle_db(), EngineConfig::from_env().wcoj(mode));
-            assert_eq!(s.wcoj_mode(), mode);
-            let (out, profile) = s.query_profiled(src).unwrap();
-            assert!(
-                profile.totals().wcoj_joins > 0,
-                "the session's WCOJ mode must reach the evaluator"
-            );
-            out.iter().cloned().collect::<Vec<_>>()
-        };
-        let triangles = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)].map(|(a, b, c)| tuple![a, b, c]);
-        assert_eq!(run(WcojMode::Auto), triangles);
-        assert_eq!(run(WcojMode::Force), triangles);
+    /// Every `(a, b, c)` with `E(a,b)`, `E(b,c)` and `E(a,c)`, by nested
+    /// loops over the edge list.
+    fn triangles_brute_force(db: &Database) -> Vec<Tuple> {
+        let edges: Vec<&Tuple> = db.get("E").unwrap().iter().collect();
+        let has = |a: &Value, c: &Value| edges.iter().any(|e| e[0] == *a && e[1] == *c);
+        let mut out: Vec<Tuple> = Vec::new();
+        for ab in &edges {
+            for bc in edges.iter().filter(|bc| bc[0] == ab[1]) {
+                if has(&ab[0], &bc[1]) {
+                    out.push(tuple![ab[0].clone(), ab[1].clone(), bc[1].clone()]);
+                }
+            }
+        }
+        out.sort();
+        out
     }
 
     #[test]
-    fn wcoj_mode_is_per_session_and_kept_by_clones() {
-        // The WCOJ mode travels with the session's index-cache handle: a
-        // clone shares the handle and so the mode, and sessions built
-        // with other modes leave it alone.
-        let a = Session::with_config(figure1_database(), EngineConfig::from_env().wcoj(WcojMode::Force));
+    fn triangle_query_routes_through_leapfrog_and_matches_brute_force() {
+        let s = Session::new(triangle_db());
+        let src = "def output(a,b,c) : E(a,b) and E(b,c) and E(a,c)";
+        let (out, profile) = s.query_profiled(src).unwrap();
+        assert!(profile.totals().wcoj_joins > 0, "a 3-atom cycle routes through leapfrog");
+        assert_eq!(out.iter().cloned().collect::<Vec<_>>(), triangles_brute_force(s.db()));
+    }
+
+    #[test]
+    fn a_clone_reuses_the_tries_its_original_built() {
+        // The triangle join under two source texts: the second module
+        // misses the fixpoint cache and joins again, over the tries the
+        // first built through the shared cache.
+        let a = Session::new(triangle_db());
         let b = a.clone();
-        let c = Session::with_config(figure1_database(), EngineConfig::from_env().wcoj(WcojMode::Auto));
-        assert_eq!(b.wcoj_mode(), WcojMode::Force, "a clone keeps its original's mode");
-        assert_eq!(a.wcoj_mode(), WcojMode::Force, "another session's mode must not leak");
-        assert_eq!(c.wcoj_mode(), WcojMode::Auto);
+        let (first, p) = a.query_profiled("def output(a,b,c) : E(a,b) and E(b,c) and E(a,c)").unwrap();
+        assert!(p.totals().trie_builds > 0);
+        let (second, q) = b.query_profiled("def output(x,y,z) : E(x,y) and E(y,z) and E(x,z)").unwrap();
+        assert_eq!(first, second);
+        assert_eq!(first.iter().cloned().collect::<Vec<_>>(), triangles_brute_force(a.db()));
+        assert!(q.totals().wcoj_joins > 0);
+        assert_eq!(q.totals().trie_builds, 0, "the clone reuses the original's tries");
+        assert!(q.totals().trie_reuses > 0);
     }
 
     #[test]

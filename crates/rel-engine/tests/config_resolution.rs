@@ -8,9 +8,7 @@
 //! process's first resolution of the environment.
 
 use rel_core::Database;
-use rel_engine::{
-    eval_threads, metrics, DurabilityConfig, EngineConfig, Session, SharedIndexCache, WcojMode,
-};
+use rel_engine::{metrics, DurabilityConfig, EngineConfig, Session, SharedIndexCache};
 
 #[test]
 fn an_explicit_flip_survives_and_every_default_comes_from_the_one_reader() {
@@ -30,30 +28,11 @@ fn an_explicit_flip_survives_and_every_default_comes_from_the_one_reader() {
 
     // Every constructor that takes a default resolves the same values.
     for s in [&plain, &configured] {
-        assert_eq!(s.wcoj_mode(), cfg.wcoj);
         assert_eq!(s.watch_buffer(), cfg.watch_buffer);
         assert_eq!(s.metrics_enabled(), cfg.metrics);
     }
-    assert_eq!(SharedIndexCache::default().wcoj_mode(), cfg.wcoj);
     assert_eq!(DurabilityConfig::default().fsync, cfg.durability.fsync);
-    assert_eq!(EngineConfig::default().wcoj, cfg.wcoj);
-
-    // The routing mode and the worker count are the same variables with
-    // the same parse.
-    let var = |name: &str| std::env::var(name).ok().map(|v| v.trim().to_ascii_lowercase());
-    let wcoj = match var("REL_WCOJ").as_deref() {
-        Some("force" | "always") => WcojMode::Force,
-        _ => WcojMode::Auto,
-    };
-    assert_eq!(cfg.wcoj, wcoj);
-    let hardware = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(8);
-    let expected = var("REL_EVAL_THREADS")
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(hardware);
-    assert_eq!(eval_threads(), expected);
+    assert_eq!(EngineConfig::default().watch_buffer, cfg.watch_buffer);
 
     // A config that asks for another value does write the switch.
     let _ = Session::with_config(Database::new(), cfg.metrics(false));

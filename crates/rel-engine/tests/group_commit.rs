@@ -4,9 +4,9 @@
 //! ([`Session::begin_commit_group`] / [`Session::end_commit_group`]):
 //!
 //! * **coalescing** — under [`FsyncPolicy::Always`], one window over N
-//!   commits issues one WAL fsync, so the process-wide
-//!   [`durability::fsync_count`] grows strictly slower than the commit
-//!   count;
+//!   commits issues one WAL fsync, so the process-wide fsync counter
+//!   (`metrics::registry().fsyncs`) grows strictly slower than the
+//!   commit count;
 //! * **ack safety** — a commit may be acknowledged only after its
 //!   window closes cleanly, and crash-injected streams (via the
 //!   `durability::failpoint` harness) always recover to a *prefix* of
@@ -19,8 +19,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rel_core::{tuple, Database, Tuple};
-use rel_engine::durability::{self, failpoint, DurabilityConfig, FsyncPolicy};
-use rel_engine::{EngineConfig, Session};
+use rel_engine::durability::{failpoint, DurabilityConfig, FsyncPolicy};
+use rel_engine::{metrics, EngineConfig, Session};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -65,14 +65,14 @@ fn one_fsync_covers_a_whole_group() {
     assert!(s.is_durable());
 
     const N: u64 = 16;
-    let before = durability::fsync_count();
+    let before = metrics::registry().fsyncs.get();
     s.begin_commit_group();
     assert!(s.in_commit_group());
     for i in 0..N {
         insert(&mut s, "R", i as i64, i as i64).unwrap();
     }
     let covered = s.end_commit_group().unwrap();
-    let synced = durability::fsync_count() - before;
+    let synced = metrics::registry().fsyncs.get() - before;
 
     assert_eq!(covered, N, "the closing fsync must cover every commit in the window");
     assert_eq!(synced, 1, "N grouped commits under fsync=always must cost exactly 1 fsync");
@@ -96,7 +96,7 @@ fn grouped_streams_use_strictly_fewer_fsyncs_than_commits() {
     let mut rng = StdRng::seed_from_u64(4242);
     let mut commits = 0u64;
     let mut groups = 0u64;
-    let before = durability::fsync_count();
+    let before = metrics::registry().fsyncs.get();
     let mut key = 0i64;
     for _ in 0..12 {
         let size = rng.gen_range(1..=8);
@@ -109,7 +109,7 @@ fn grouped_streams_use_strictly_fewer_fsyncs_than_commits() {
         assert_eq!(s.end_commit_group().unwrap(), size);
         groups += 1;
     }
-    let synced = durability::fsync_count() - before;
+    let synced = metrics::registry().fsyncs.get() - before;
     assert_eq!(synced, groups, "one fsync per non-empty group");
     assert!(
         synced < commits,
@@ -134,10 +134,10 @@ fn empty_and_ephemeral_groups_are_free() {
     // Durable session, empty window: no commits, no fsync.
     let dir = temp_dir("empty");
     let mut s = Session::open_with(&dir, always_no_compact()).unwrap();
-    let before = durability::fsync_count();
+    let before = metrics::registry().fsyncs.get();
     s.begin_commit_group();
     assert_eq!(s.end_commit_group().unwrap(), 0);
-    assert_eq!(durability::fsync_count() - before, 0);
+    assert_eq!(metrics::registry().fsyncs.get() - before, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,15 +4,11 @@
 //!
 //! Every assertion here is an **exact** registry count, so this suite
 //! has an integration binary to itself and its tests take turns (the
-//! registry is process-wide). Sessions pin the switches the counts depend
-//! on, so the CI legs that flip them through the environment measure the
-//! same thing.
+//! registry is process-wide).
 
 use rel_core::{tuple, Database, RelError, Relation, Tuple};
 use rel_engine::metrics::{self, MetricsSnapshot};
-use rel_engine::{
-    materialize_with_threads, EngineConfig, Params, Prepared, Session, SharedIndexCache, WcojMode,
-};
+use rel_engine::{materialize_with_threads, Params, Prepared, Session, SharedIndexCache};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static TURN: Mutex<()> = Mutex::new(());
@@ -68,8 +64,7 @@ fn stream_session_with(library: &str) -> (Session, Prepared, Prepared) {
     }
     db.insert("Price", tuple![1, 10]);
     db.insert("Price", tuple![2, 25]);
-    let cfg = EngineConfig::from_env().wcoj(WcojMode::Auto);
-    let s = Session::with_config(db, cfg).with_library(library);
+    let s = Session::new(db).with_library(library);
     let insert = s.prepare(INSERT_EDGE).unwrap();
     let watched = s.prepare(WATCHED).unwrap();
     (s, insert, watched)

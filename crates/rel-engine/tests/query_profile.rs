@@ -1,10 +1,11 @@
-//! Ground-truth tests for [`rel_engine::QueryProfile`]: force each
+//! Ground-truth tests for [`rel_engine::QueryProfile`]: drive each
 //! join-kernel choice, cache outcome, and incremental classification
-//! through the session's WCOJ mode and targeted programs, and check the
-//! profile reports exactly what the engine was forced to do.
+//! with targeted programs, and check the profile reports exactly what the
+//! engine did — and nothing that another evaluation did.
 
 use rel_core::{tuple, Database, Relation, Tuple, Value};
-use rel_engine::{EngineConfig, FixpointOutcome, Session, StratumAction, WcojMode};
+use rel_engine::{FixpointOutcome, Session, StratumAction};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A dense-enough edge relation that triangles exist and recursion
 /// iterates a few rounds.
@@ -19,26 +20,29 @@ fn edges() -> Relation {
     Relation::from_tuples(tuples)
 }
 
-fn triangle_session(mode: WcojMode) -> Session {
-    triangle_session_with(EngineConfig::from_env().wcoj(mode))
-}
-
-fn triangle_session_with(cfg: EngineConfig) -> Session {
+fn triangle_session() -> Session {
     let mut db = Database::new();
     db.set("E", edges());
-    Session::with_config(db, cfg)
+    Session::new(db)
 }
 
 const TRIANGLE: &str = "def output(x, y, z) : E(x, y) and E(y, z) and E(x, z)";
 
 #[test]
-fn forced_wcoj_is_reported_as_wcoj() {
-    let s = triangle_session(WcojMode::Force);
-    let (rows, profile) = s.query_profiled(TRIANGLE).unwrap();
-    assert!(!rows.is_empty(), "triangle query must produce rows");
+fn triangle_is_reported_as_wcoj() {
+    let (rows, profile) = triangle_session().query_profiled(TRIANGLE).unwrap();
+    let e: Vec<(Value, Value)> = edges().iter().map(|t| (t[0].clone(), t[1].clone())).collect();
+    let want = Relation::from_tuples(e.iter().flat_map(|(x, y)| {
+        let e = &e;
+        e.iter().filter(move |(y2, z)| y2 == y && e.contains(&(x.clone(), z.clone()))).map(
+            move |(_, z)| Tuple::from(vec![x.clone(), y.clone(), z.clone()]),
+        )
+    }));
+    assert!(!want.is_empty(), "the fixture has triangles");
+    assert_eq!(rows, want);
     let t = profile.totals();
-    assert!(t.wcoj_joins > 0, "Force must dispatch the triangle to the WCOJ kernel: {t:?}");
-    assert_eq!(t.binary_joins, 0, "no pairwise joins under Force: {t:?}");
+    assert!(t.wcoj_joins > 0, "a 3-atom cycle must dispatch to the WCOJ kernel: {t:?}");
+    assert_eq!(t.binary_joins, 0, "leapfrog takes all three atoms: {t:?}");
     assert!(profile.explain().contains("kernel=wcoj"), "{}", profile.explain());
 }
 
@@ -47,39 +51,34 @@ fn unfused_two_atom_join_under_auto_is_reported_as_binary() {
     // Two stored atoms and a comparison: no fused shape, and too few atoms
     // for Auto to route to leapfrog, so the pairwise scheduler joins them.
     let src = "def output(x, z) : exists((y) | E(x, y) and E(y, z) and x < z)";
-    let (rows, profile) = triangle_session(WcojMode::Auto).query_profiled(src).unwrap();
+    let (rows, profile) = triangle_session().query_profiled(src).unwrap();
     let t = profile.totals();
     assert_eq!(t.wcoj_joins, 0, "below WCOJ_MIN_ATOMS nothing reaches the WCOJ kernel: {t:?}");
-    assert!(t.binary_joins > 0, "Auto must run the pairwise path: {t:?}");
+    assert!(t.binary_joins > 0, "two atoms run the pairwise path: {t:?}");
     assert_eq!(t.fused_rules, 0, "a rule with a comparison has no fused kernel: {t:?}");
-    // The same rows as brute force and as the forced kernel — the profile
-    // reports routing, not semantics.
+    // The same rows as brute force — the profile reports routing, not
+    // semantics.
     let e: Vec<(Value, Value)> = edges().iter().map(|t| (t[0].clone(), t[1].clone())).collect();
     let want = Relation::from_tuples(e.iter().flat_map(|(x, y)| {
         e.iter().filter(move |(y2, z)| y2 == y && x < z).map(move |(_, z)| Tuple::from(vec![x.clone(), z.clone()]))
     }));
     assert_eq!(rows, want);
-    let (forced, profile) = triangle_session(WcojMode::Force).query_profiled(src).unwrap();
-    assert!(profile.totals().wcoj_joins > 0);
-    assert_eq!(forced, want);
 }
 
 #[test]
 fn two_atom_rule_under_defaults_is_fused() {
-    // Pin Auto routing so a REL_WCOJ=force CI leg cannot drag the 2-atom
-    // rule into the leapfrog kernel.
-    let s = triangle_session(WcojMode::Auto);
+    let s = triangle_session();
     let (rows, profile) =
         s.query_profiled("def output(x, z) : exists((y) | E(x, y) and E(y, z))").unwrap();
     assert!(!rows.is_empty());
     let t = profile.totals();
     assert_eq!(t.wcoj_joins, 0, "below WCOJ_MIN_ATOMS nothing reaches the WCOJ kernel: {t:?}");
-    assert!(t.fused_rules > 0, "a 2-atom join under Auto must hit a fused kernel: {t:?}");
+    assert!(t.fused_rules > 0, "a 2-atom join must hit a fused kernel: {t:?}");
 }
 
 #[test]
 fn trie_cache_outcomes_build_then_reuse() {
-    let s = triangle_session(WcojMode::Force);
+    let s = triangle_session();
     let (_, first) = s.query_profiled(TRIANGLE).unwrap();
     let t1 = first.totals();
     assert!(t1.trie_builds > 0, "first run must build its permuted tries: {t1:?}");
@@ -184,7 +183,7 @@ fn incremental_recursion_is_delta_restarted() {
 
 #[test]
 fn strata_wall_is_bounded_by_query_wall() {
-    let s = triangle_session(WcojMode::Auto);
+    let s = triangle_session();
     let (_, profile) = s.query_profiled(TRIANGLE).unwrap();
     assert!(
         profile.strata_wall() <= profile.wall,
@@ -192,4 +191,63 @@ fn strata_wall_is_bounded_by_query_wall() {
         profile.strata_wall(),
         profile.wall
     );
+}
+
+#[test]
+fn a_profile_lists_only_the_strata_its_own_evaluation_ran() {
+    // A profiled recursive query on `E` while a clone of the session
+    // evaluates unprofiled recursive queries over `F` on another thread.
+    // The clone shares the tries, so its evaluators run on the same
+    // cache; none of its strata may land in the profile.
+    let chain = |n: i64| Relation::from_tuples((0..n - 1).map(|i| tuple![i, i + 1]));
+    let mut db = Database::new();
+    db.set("E", chain(120));
+    db.set("F", chain(60));
+    let s = Session::new(db);
+    let clone = s.clone();
+    let (done, served) = (AtomicBool::new(false), AtomicUsize::new(0));
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            // Unique text per query: a module-cache miss and a full
+            // evaluation every time.
+            while !done.load(Ordering::Relaxed) {
+                let i = served.fetch_add(1, Ordering::Relaxed);
+                let src = format!(
+                    "def Other{i}(x, y) : F(x, y)\n\
+                     def Other{i}(x, y) : exists((z) | Other{i}(x, z) and F(z, y))"
+                );
+                clone.eval(&src, &format!("Other{i}")).unwrap();
+            }
+        });
+        // Stops the other thread however this one leaves the scope: the
+        // scope joins it before a failed assertion can propagate.
+        struct Stop<'a>(&'a AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let _stop = Stop(&done);
+        while served.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        for round in 0..30 {
+            let own = format!("TC{round}");
+            let src = format!(
+                "def {own}(x, y) : E(x, y)\n\
+                 def {own}(x, y) : exists((z) | {own}(x, z) and E(z, y))\n\
+                 def output(x, y) : {own}(x, y)"
+            );
+            let (rows, profile) = s.query_profiled(&src).unwrap();
+            assert_eq!(rows.len(), 120 * 119 / 2, "every pair i < j of the chain");
+            assert!(!profile.strata.is_empty(), "round {round}: a new module evaluates");
+            for st in &profile.strata {
+                assert!(
+                    st.preds.iter().all(|p| *p == own || p == "output"),
+                    "round {round}: the profile lists a stratum it did not evaluate: {:?}",
+                    st.preds
+                );
+            }
+        }
+    });
 }

@@ -11,8 +11,8 @@
 //! The fsync counter and failpoint budget are process-global, so this
 //! suite lives in its own binary and serializes on [`GLOBAL_LOCK`].
 
-use rel_engine::durability::{self, failpoint, DurabilityConfig, FsyncPolicy};
-use rel_engine::{EngineConfig, Session};
+use rel_engine::durability::{failpoint, DurabilityConfig, FsyncPolicy};
+use rel_engine::{metrics, EngineConfig, Session};
 use rel_server::{Client, Server, ServerConfig};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -64,7 +64,7 @@ fn concurrent_burst_uses_strictly_fewer_fsyncs_than_commits() {
     const CLIENTS: usize = 32;
     const ROUNDS: usize = 4;
     let commits = (CLIENTS * ROUNDS) as u64;
-    let before = durability::fsync_count();
+    let before = metrics::registry().fsyncs.get();
 
     // A barrier per round lines the whole fleet up, so every round hits
     // the commit queue as one concurrent burst.
@@ -88,7 +88,7 @@ fn concurrent_burst_uses_strictly_fewer_fsyncs_than_commits() {
     for h in handles {
         h.join().expect("client thread panicked");
     }
-    let synced = durability::fsync_count() - before;
+    let synced = metrics::registry().fsyncs.get() - before;
     assert!(synced >= 1, "fsync=always must sync at least once");
     assert!(
         synced < commits,

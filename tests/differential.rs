@@ -9,20 +9,21 @@
 //! After every commit of every stream, every engine configuration must
 //! equal the reference:
 //!
-//! * module level — `materialize_with_threads` with 1 worker (WCOJ auto)
-//!   and with 4 (WCOJ forced), and `materialize_incremental_with_stats`
-//!   chained from the previous state's `PreState`; each keeps one
-//!   `SharedIndexCache` across every program and commit;
-//! * session level — default, WCOJ forced (one-batch watch buffers),
-//!   metrics on: the base relations, every library relation, an ad hoc
-//!   read, prepared reads, and two watch mirrors whose sequence numbers
-//!   must be gapless.
+//! * module level — `materialize_with_threads` with 1 worker and with 4,
+//!   and `materialize_incremental_with_stats` chained from the previous
+//!   state's `PreState`; each keeps its own default `SharedIndexCache`
+//!   across every program and commit;
+//! * session level — default, and metrics on with one-batch watch
+//!   buffers: the base relations, every library relation, an ad hoc read,
+//!   prepared reads, and two watch mirrors whose sequence numbers must be
+//!   gapless.
 //!
-//! There is one engine — incremental, columnar, WCOJ on `Auto` — so the
-//! fallbacks it keeps for inputs the fast paths cannot take must be
-//! reached by the default configuration itself. Coverage floors over the
-//! whole run show they are: generic env-path rules and pairwise joins
-//! under `Auto`, recomputed and delta-restarted strata, and checked states
+//! There is one engine — incremental, columnar, leapfrog for connected
+//! groups of three or more atoms — so both its kernels and the fallbacks
+//! it keeps for inputs the fast paths cannot take must be reached by the
+//! default configuration itself. Coverage floors over the whole run show
+//! they are: leapfrog dispatches, generic env-path rules and pairwise
+//! joins, recomputed and delta-restarted strata, and checked states
 //! holding a relation no kernel can read through a columnar projection.
 //!
 //! Programs mix monotone and partial-fixpoint recursion, negation, `sum`
@@ -50,7 +51,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rel::core::tuple;
 use rel::engine::durability::{DurabilityConfig, FsyncPolicy};
-use rel::engine::{metrics, IncrementalStats, PreState, SharedIndexCache, WcojMode};
+use rel::engine::{metrics, IncrementalStats, PreState, SharedIndexCache};
 use rel::interp::Interp;
 use rel::prelude::*;
 use std::collections::BTreeMap;
@@ -68,9 +69,11 @@ const REOPEN: usize = 2;
 const EDIT: usize = 4;
 const INSTALL: usize = 7;
 /// Coverage floors over the whole run (see [`Coverage`]), about half of
-/// what the seeds above reach: 1087 env-path rules, 456 pairwise-join
-/// dispatches, 511 recomputed and 39 delta-restarted strata, and 633
-/// session checks that saw a relation with no columnar projection.
+/// what the seeds above reach: 274 leapfrog dispatches, 1087 env-path
+/// rules, 456 pairwise-join dispatches, 511 recomputed and 39
+/// delta-restarted strata, and 422 session checks (two lanes) that saw a
+/// relation with no columnar projection.
+const FLOOR_WCOJ: u64 = 130;
 const FLOOR_ENV_RULES: u64 = 500;
 const FLOOR_BINARY: u64 = 200;
 const FLOOR_RECOMPUTED: usize = 200;
@@ -586,20 +589,23 @@ impl Lane {
 }
 
 /// The module-level configurations, each on one cache for the whole run:
-/// 1 worker with WCOJ on `Auto`, 4 with WCOJ forced, and the incremental
-/// engine chained from the previous state (`pre`, `None` after a library
-/// change). `coverage` sums what the default paths did along the way.
+/// 1 worker, 4 workers, and the incremental engine chained from the
+/// previous state (`pre`, `None` after a library change). `coverage`
+/// sums what the default paths did along the way.
 struct Modules {
     caches: [SharedIndexCache; 3],
     pre: Option<PreState>,
     coverage: Coverage,
 }
 
-/// Fallback paths the default configuration took, over the whole run.
+/// The leapfrog kernel and the fallback paths the default configuration
+/// took, over the whole run.
 #[derive(Debug, Default)]
 struct Coverage {
-    /// Rules the generic env evaluator ran, and atoms the pairwise join
-    /// scheduler took, in the 1-worker `Auto` module run.
+    /// Atom groups the leapfrog kernel joined, rules the generic env
+    /// evaluator ran, and atoms the pairwise join scheduler took, in the
+    /// 1-worker module run.
+    wcoj_dispatches: u64,
     env_rules: u64,
     binary_dispatches: u64,
     /// Strata the incremental engine recomputed and delta-restarted.
@@ -608,23 +614,23 @@ struct Coverage {
     rowwise_states: usize,
 }
 
-/// Run `f` with metrics on; what it added to the env-path rule and
-/// pairwise-join counters comes back with its result.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; 2]) {
+/// Run `f` with metrics on; what it added to the leapfrog, env-path rule
+/// and pairwise-join counters comes back with its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; 3]) {
     let (was, r) = (metrics::enabled(), metrics::registry());
-    let read = || [r.env_rules.get(), r.binary_join_dispatches.get()];
+    let read = || [r.wcoj_dispatches.get(), r.env_rules.get(), r.binary_join_dispatches.get()];
     metrics::set_metrics(true);
     let before = read();
     let out = f();
     let after = read();
     metrics::set_metrics(was);
-    (out, [after[0] - before[0], after[1] - before[1]])
+    (out, [0, 1, 2].map(|i| after[i] - before[i]))
 }
 
 impl Modules {
     fn check(&mut self, p: &Program, db: &Database, r: &Rels, ctx: &str) {
         use rel::engine::{materialize_incremental_with_stats, materialize_with_cache, materialize_with_threads};
-        let (module, [auto, four, inc]) = (rel::sema::compile(&p.defs).expect("library compiles"), &self.caches);
+        let (module, [one_cache, four, inc]) = (rel::sema::compile(&p.defs).expect("library compiles"), &self.caches);
         let incremental = match &self.pre {
             Some(pre) => materialize_incremental_with_stats(&module, pre, db, inc.clone()).map(|(rels, stats)| {
                 let m = &mut self.coverage.maintenance;
@@ -635,12 +641,13 @@ impl Modules {
             }),
             None => materialize_with_cache(&module, db, inc.clone()),
         };
-        let (one, [env_rules, binary]) = counted(|| materialize_with_threads(&module, db, auto.clone(), 1));
+        let (one, [wcoj, env_rules, binary]) = counted(|| materialize_with_threads(&module, db, one_cache.clone(), 1));
+        self.coverage.wcoj_dispatches += wcoj;
         self.coverage.env_rules += env_rules;
         self.coverage.binary_dispatches += binary;
         let runs = [
-            ("1 worker, wcoj auto", one),
-            ("4 workers, wcoj force", materialize_with_threads(&module, db, four.clone(), 4)),
+            ("1 worker", one),
+            ("4 workers", materialize_with_threads(&module, db, four.clone(), 4)),
             ("materialize_incremental", incremental),
         ];
         for (config, run) in runs {
@@ -659,14 +666,11 @@ fn every_configuration_matches_the_interpreter_after_every_commit() {
     let ambient = serial.ambient;
     let configs = [
         ("default", ambient),
-        ("wcoj force", ambient.wcoj(WcojMode::Force).watch_buffer(1)),
-        ("metrics on", ambient.metrics(true)),
+        ("metrics on", ambient.metrics(true).watch_buffer(1)),
     ];
-    let caches = [WcojMode::Auto, WcojMode::Force, ambient.wcoj].map(SharedIndexCache::with_wcoj);
-    let mut modules = Modules { caches, pre: None, coverage: Coverage::default() };
+    let mut modules = Modules { caches: Default::default(), pre: None, coverage: Coverage::default() };
     let mut tally = Tally::default();
     let (mut commits, mut violations, mut aborts) = (0, 0, 0);
-    let wcoj = metrics::registry().wcoj_dispatches.get();
     for stream in 0..STREAMS {
         let seed = SEED + stream;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -773,9 +777,9 @@ fn every_configuration_matches_the_interpreter_after_every_commit() {
     assert!(checked >= 250, "the interpreter checked {checked} states, {over_budget} over its budget");
     let mix = format!("{commits} commits, {violations} constraint aborts, {aborts} aborts");
     assert!(commits >= 150 && violations >= 15 && aborts >= 15, "{mix}");
-    assert!(metrics::registry().wcoj_dispatches.get() > wcoj, "no generated join reached the WCOJ kernel");
     let c = &modules.coverage;
     eprintln!("differential coverage: {c:?}");
+    assert!(c.wcoj_dispatches >= FLOOR_WCOJ, "{c:?}");
     assert!(c.env_rules >= FLOOR_ENV_RULES && c.binary_dispatches >= FLOOR_BINARY, "{c:?}");
     let IncrementalStats { recomputed, delta_seeded, .. } = c.maintenance;
     assert!(recomputed >= FLOOR_RECOMPUTED && delta_seeded >= FLOOR_DELTA_SEEDED, "{c:?}");

@@ -145,10 +145,7 @@ fn run_case(seed: u64) -> (u64, u64) {
     let head = ["x, y, z", "x, z", "y"][g.below(3)];
     let plain = format!("def output({head}) : {}{filter}", render(&atoms, false));
     let twin = format!("def output({head}) : {}{filter}", render(&atoms, true));
-    // Auto routing: under `REL_WCOJ=force` leapfrog takes the atoms this
-    // test wants `exec_atom` to see.
-    let cfg = EngineConfig::from_env().wcoj(rel::engine::WcojMode::Auto);
-    let session = Session::with_config(db.clone(), cfg);
+    let session = Session::new(db.clone());
     let builds = &rel::engine::metrics::registry().index_builds;
     let query = |src: &str| {
         let before = builds.get();
