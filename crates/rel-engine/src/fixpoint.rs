@@ -34,11 +34,12 @@
 //!
 //! The worker count is the available hardware parallelism ([`eval_threads`]);
 //! [`materialize_with_threads`] takes an explicit one (`1` is the
-//! sequential path).
+//! sequential path). A profiled evaluation takes the same path: each
+//! stratum counts into a profile sink of its own ([`crate::profile`]).
 
 use crate::env::Env;
 use crate::eval::{EvalCtx, SharedIndexCache};
-use crate::profile::{StratumAction, StratumProfile};
+use crate::profile::{record_stratum, StratumAction};
 use rel_core::{Database, Name, RelError, RelResult, Relation};
 use rel_sema::ir::{AbsParam, EvalMode, Formula, Module, RExpr, Rule, Stratum};
 use std::collections::{BTreeMap, BTreeSet};
@@ -106,22 +107,18 @@ pub fn materialize_with_threads(
     // with at most one stratum to evaluate stays on the calling thread
     // (spawning costs more than a microsecond query).
     let workers = threads.min(module.strata.iter().filter(|s| materializes(module, s)).count());
-    // A hand-rolled module without the condensation DAG (stratum_deps
-    // out of sync with strata) cannot be scheduled safely — fall back to
-    // the sequential dependency-order walk. Profiled runs also go
-    // sequential: per-stratum wall times overlap under the parallel
-    // scheduler and would not sum to anything meaningful.
-    if workers > 1
-        && module.stratum_deps.len() == module.strata.len()
-        && cache.profile().is_none()
-    {
+    if workers > 1 {
         if crate::metrics::enabled() {
             crate::metrics::registry().scheduler_spawns.incr();
         }
-        materialize_parallel(module, &mut rels, &cache, workers)?;
+        let mut run = || materialize_parallel(module, &mut rels, &cache, workers);
+        match cache.profile() {
+            Some(sink) => sink.index_ordered(run)?,
+            None => run()?,
+        }
     } else {
-        for stratum in &module.strata {
-            eval_stratum(module, &mut rels, stratum, &cache)?;
+        for idx in 0..module.strata.len() {
+            evaluate(module, &mut rels, idx, &cache)?;
         }
     }
     // Keep the cache bounded for long-lived sessions: only indexes that
@@ -131,33 +128,24 @@ pub fn materialize_with_threads(
     Ok(rels)
 }
 
+/// Materialize stratum `idx` of a full run against (and into) `rels`,
+/// recorded as `evaluated` on a profiled handle.
+fn evaluate(
+    module: &Module,
+    rels: &mut BTreeMap<Name, Relation>,
+    idx: usize,
+    cache: &SharedIndexCache,
+) -> RelResult<()> {
+    record_stratum(module, idx, StratumAction::Evaluated, cache, |cache| {
+        eval_stratum(module, rels, &module.strata[idx], cache)
+    })
+}
+
 /// Materialize one stratum against (and into) `rels`. Demand-only strata
 /// are a no-op: they are evaluated lazily at call sites. Also the
 /// incremental engine's "recompute this stratum from its current inputs"
 /// primitive.
 pub(crate) fn eval_stratum(
-    module: &Module,
-    rels: &mut BTreeMap<Name, Relation>,
-    stratum: &Stratum,
-    cache: &SharedIndexCache,
-) -> RelResult<()> {
-    let Some(sink) = cache.profile() else {
-        return eval_stratum_inner(module, rels, stratum, cache);
-    };
-    let before = sink.counts();
-    let start = std::time::Instant::now();
-    let res = eval_stratum_inner(module, rels, stratum, cache);
-    sink.push_stratum(StratumProfile {
-        preds: stratum.preds.iter().map(|p| p.to_string()).collect(),
-        recursive: stratum.recursive,
-        action: StratumAction::Evaluated,
-        wall: start.elapsed(),
-        counts: sink.counts().since(&before),
-    });
-    res
-}
-
-fn eval_stratum_inner(
     module: &Module,
     rels: &mut BTreeMap<Name, Relation>,
     stratum: &Stratum,
@@ -239,7 +227,10 @@ fn materialize_parallel(
     workers: usize,
 ) -> RelResult<()> {
     let n = module.strata.len();
-    debug_assert_eq!(module.stratum_deps.len(), n, "module missing stratum DAG");
+    debug_assert!(
+        module.stratum_deps.len() == n && module.stratum_reads.len() == n,
+        "the per-stratum vectors of a module are filled together"
+    );
     // Reverse edges: dependents[d] = strata unblocked by d's completion.
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut indegree = vec![0usize; n];
@@ -288,7 +279,7 @@ fn materialize_parallel(
                         }
                     };
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        eval_stratum(module, &mut snapshot, &module.strata[idx], cache)
+                        evaluate(module, &mut snapshot, idx, cache)
                     }));
                     let mut st = lock("merge");
                     match result {
@@ -644,47 +635,6 @@ fn map_rexpr(x: &mut RExpr, f: &mut impl FnMut(&Name) -> Name) {
     }
 }
 
-/// Evaluate *naively* (no deltas): the reference `tests/properties.rs`
-/// compares semi-naive evaluation against.
-pub fn materialize_naive(module: &Module, db: &Database) -> RelResult<BTreeMap<Name, Relation>> {
-    let mut rels: BTreeMap<Name, Relation> =
-        db.iter().map(|(n, r)| (n.clone(), r.clone())).collect();
-    for stratum in &module.strata {
-        let Some(first) = materialized_preds(module, stratum).next() else { continue };
-        if !stratum.recursive {
-            let derived = eval_pred_once(&EvalCtx::new(module, &rels), module, first)?;
-            rels.entry(first.clone()).or_default().absorb(&derived);
-            continue;
-        }
-        if !stratum.monotone {
-            pfp(module, &mut rels, &stratum.preds, &SharedIndexCache::default())?;
-            continue;
-        }
-        // Naive: re-derive everything until nothing changes.
-        for p in &stratum.preds {
-            rels.entry(p.clone()).or_default();
-        }
-        for _ in 0..SEMI_NAIVE_CAP {
-            let mut changed = false;
-            let mut next: BTreeMap<Name, Relation> = BTreeMap::new();
-            {
-                let cx = EvalCtx::new(module, &rels);
-                for p in &stratum.preds {
-                    next.insert(p.clone(), eval_pred_once(&cx, module, p)?);
-                }
-            }
-            for p in &stratum.preds {
-                let added = rels.get_mut(p).expect("seeded").absorb(&next[p]);
-                changed |= added > 0;
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-    Ok(rels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -710,18 +660,6 @@ mod tests {
         assert_eq!(tc.len(), 6); // 1→2,1→3,1→4,2→3,2→4,3→4
         assert!(tc.contains(&tuple![1, 4]));
         assert!(!tc.contains(&tuple![4, 1]));
-    }
-
-    #[test]
-    fn naive_matches_semi_naive() {
-        let module = rel_sema::compile(
-            "def TC(x,y) : E(x,y)\n\
-             def TC(x,y) : exists((z) | E(x,z) and TC(z,y))",
-        )
-        .unwrap();
-        let a = materialize(&module, &edge_db()).unwrap();
-        let b = materialize_naive(&module, &edge_db()).unwrap();
-        assert_eq!(a[&rel_core::name("TC")], b[&rel_core::name("TC")]);
     }
 
     #[test]
@@ -841,22 +779,24 @@ mod tests {
 
     #[test]
     fn iteration_order_is_deterministic_across_strategies() {
-        // The same fixpoint reached semi-naively, naively, or twice in a
-        // row yields the identical tuple sequence, not just the same set.
+        // The same fixpoint reached twice, or by 1 and 4 workers, yields
+        // the identical tuple sequence: the sorted brute-force closure.
         let module = rel_sema::compile(
             "def TC(x,y) : E(x,y)\n\
              def TC(x,y) : exists((z) | E(x,z) and TC(z,y))",
         )
         .unwrap();
         let db = edge_db();
-        let order = |rels: &BTreeMap<Name, Relation>| -> Vec<rel_core::Tuple> {
+        let order = |rels: BTreeMap<Name, Relation>| -> Vec<rel_core::Tuple> {
             rels[&rel_core::name("TC")].iter().cloned().collect()
         };
-        let a = order(&materialize(&module, &db).unwrap());
-        let b = order(&materialize(&module, &db).unwrap());
-        let c = order(&materialize_naive(&module, &db).unwrap());
-        assert_eq!(a, b);
-        assert_eq!(a, c);
+        let want: Vec<rel_core::Tuple> = (1..=4)
+            .flat_map(|x| (x + 1..=4).map(move |y| tuple![x, y]))
+            .collect();
+        for threads in [1, 1, 4] {
+            let got = materialize_with_threads(&module, &db, SharedIndexCache::default(), threads);
+            assert_eq!(order(got.unwrap()), want, "threads={threads}");
+        }
     }
 
     #[test]
@@ -984,7 +924,9 @@ mod tests {
         let cache = SharedIndexCache::default().profiled(sink.clone());
         let got = materialize_with_threads(&module, &db, cache, 1).unwrap();
         assert_eq!(got[&rel_core::name("P")], want, "diverged in a recursive stratum");
-        let joins = sink.counts().wcoj_joins;
+        let strata = sink.take_strata();
+        let p = strata.iter().find(|s| s.preds == ["P"]).expect("P's stratum is recorded");
+        let joins = p.counts.wcoj_joins;
         assert!(joins > 1, "expected leapfrog joins across semi-naive iterations, got {joins}");
     }
 

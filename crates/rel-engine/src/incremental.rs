@@ -67,7 +67,7 @@ use crate::fixpoint::{
     count_scc_refs, delta_name, delta_variant, eval_stratum, materialize_with_cache,
     scc_delta_variants, semi_naive_loop,
 };
-use crate::profile::{FixpointOutcome, StratumAction, StratumProfile};
+use crate::profile::{record_stratum, FixpointOutcome, StratumAction};
 use rel_core::{Database, Name, RelResult, Relation};
 use rel_sema::ir::{EvalMode, Module, Stratum};
 use std::collections::{BTreeMap, BTreeSet};
@@ -172,8 +172,7 @@ pub fn materialize_incremental(
 /// Re-derive the module's relation state over `db`, reusing everything
 /// the changed base relations cannot affect. The result is byte-identical
 /// to `materialize_with_cache(module, db, cache)`; see the module docs
-/// for the maintenance strategy. Falls back to full materialization for
-/// modules without cone metadata (hand-assembled `Module`s).
+/// for the maintenance strategy.
 pub fn materialize_incremental_with_stats(
     module: &Module,
     pre: &PreState,
@@ -181,12 +180,6 @@ pub fn materialize_incremental_with_stats(
     cache: SharedIndexCache,
 ) -> RelResult<(BTreeMap<Name, Relation>, IncrementalStats)> {
     let n = module.strata.len();
-    if module.stratum_reads.len() != n || module.stratum_deps.len() != n {
-        let rels = materialize_with_cache(module, db, cache)?;
-        let stats = IncrementalStats { recomputed: n, ..Default::default() };
-        note_incremental_stats(&stats);
-        return Ok((rels, stats));
-    }
     let touched = pre.touched_in(db);
 
     // Seed exactly like a full run: every base relation, O(1) clones.
@@ -215,18 +208,6 @@ fn note_incremental_stats(stats: &IncrementalStats) {
         r.strata_reused.add(stats.reused as u64);
         r.strata_delta_restarted.add(stats.delta_seeded as u64);
         r.strata_recomputed.add(stats.recomputed as u64);
-    }
-}
-
-/// A profile record for a stratum reused wholesale (O(1) pointer bumps —
-/// no wall time or kernel counts worth attributing).
-fn reused_record(stratum: &Stratum) -> StratumProfile {
-    StratumProfile {
-        preds: stratum.preds.iter().map(|p| p.to_string()).collect(),
-        recursive: stratum.recursive,
-        action: StratumAction::Reused,
-        wall: std::time::Duration::ZERO,
-        counts: Default::default(),
     }
 }
 
@@ -295,20 +276,19 @@ fn maintain_stratum(
         }
     }
 
-    let sink = cache.profile();
     if pre_complete && !own_touched && !demand_blocked {
         if changed.is_empty() {
             // Every input re-derived to its old value: so does this
             // stratum.
-            for p in &stratum.preds {
-                if let Some(r) = pre.state.get(p) {
-                    rels.insert(p.clone(), r.clone());
+            record_stratum(module, idx, StratumAction::Reused, cache, |_| {
+                for p in &stratum.preds {
+                    if let Some(r) = pre.state.get(p) {
+                        rels.insert(p.clone(), r.clone());
+                    }
                 }
-            }
+                Ok(())
+            })?;
             stats.reused += 1;
-            if let Some(sink) = &sink {
-                sink.push_stratum(reused_record(stratum));
-            }
             return Ok(false);
         }
         if stratum.recursive && stratum.monotone {
@@ -330,38 +310,27 @@ fn maintain_stratum(
                 deltas.insert((*input).clone(), grown);
             }
             if eligible {
-                let before = sink.as_ref().map(|s| s.counts());
-                let start = std::time::Instant::now();
-                semi_naive_restart(module, rels, &stratum.preds, pre, deltas, cache)?;
+                record_stratum(module, idx, StratumAction::DeltaRestarted, cache, |cache| {
+                    semi_naive_restart(module, rels, &stratum.preds, pre, deltas, cache)
+                })?;
                 stats.delta_seeded += 1;
-                if let (Some(sink), Some(before)) = (&sink, before) {
-                    sink.push_stratum(StratumProfile {
-                        preds: stratum.preds.iter().map(|p| p.to_string()).collect(),
-                        recursive: stratum.recursive,
-                        action: StratumAction::DeltaRestarted,
-                        wall: start.elapsed(),
-                        counts: sink.counts().since(&before),
-                    });
-                }
                 return Ok(true);
             }
         }
     }
 
-    // Recompute just this stratum from its current (correct) inputs.
-    // (`eval_stratum` pushes an "evaluated" record when profiling.) A
+    // Recompute just this stratum from its current (correct) inputs. A
     // recomputation that lands on the old value keeps the old relation —
     // and its generation — so nothing downstream sees a change.
-    eval_stratum(module, rels, stratum, cache)?;
+    record_stratum(module, idx, StratumAction::Recomputed, cache, |cache| {
+        eval_stratum(module, rels, stratum, cache)
+    })?;
     for p in &stratum.preds {
         if let Some(old) = pre.state.get(p).filter(|old| rels.get(p) == Some(old)) {
             rels.insert(p.clone(), old.clone());
         }
     }
     stats.recomputed += 1;
-    if let Some(sink) = &sink {
-        sink.relabel_last(StratumAction::Recomputed);
-    }
     Ok(true)
 }
 

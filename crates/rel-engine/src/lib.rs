@@ -149,7 +149,7 @@
 //! | `REL_SERVER_GROUP_WINDOW` | positive integer | `32` | Max commits coalesced into one group-commit window — one WAL fsync — per commit-worker pass ([`Session::begin_commit_group`]). |
 //! | `REL_SERVER_POOL` | positive integer | `8` | Max read replicas checked out of the server's session pool at once (readers block, never fail, beyond it). |
 //! | `REL_METRICS` | switch | off | Hot-path engine metrics ([`metrics`]): cache hit/miss, join-kernel dispatch, incremental classification, and per-query latency counters on the process-wide [`metrics::registry`] ([`metrics::set_metrics`] flips the same process-wide switch at runtime, and the variable never undoes such a call). Cold-path counters (commits, aborts, WAL bytes, fsyncs, compactions, snapshot publishes) record regardless. Results are byte-identical either way. |
-//! | `REL_SLOW_QUERY_MS` | non-negative integer | unset | Slow-query log: any [`Session::query`] at or above the threshold is profiled and its rendered [`QueryProfile`] printed to stderr ([`metrics::slow_query_ms`]). |
+//! | `REL_SLOW_QUERY_MS` | non-negative integer | unset | Slow-query log: every [`Session::query`] and [`Prepared::execute_with`] runs profiled, on the same stratum scheduler as an unprofiled read, and one at or above the threshold has its rendered [`QueryProfile`] printed to stderr and counted in `slow_queries` ([`metrics::slow_query_ms`]). |
 //!
 //! [`Session::query`]/[`Session::eval`] results are unaffected by every
 //! switch in the table — they tune scheduling, caching, observability,
@@ -179,8 +179,7 @@ pub use config::EngineConfig;
 pub use durability::{DurabilityConfig, FsyncPolicy};
 pub use eval::{EvalCtx, SharedIndexCache, WcojMode, WCOJ_MIN_ATOMS};
 pub use fixpoint::{
-    eval_threads, materialize, materialize_naive, materialize_with_cache,
-    materialize_with_threads,
+    eval_threads, materialize, materialize_with_cache, materialize_with_threads,
 };
 pub use incremental::{
     materialize_incremental, materialize_incremental_with_stats, IncrementalStats, PreState,

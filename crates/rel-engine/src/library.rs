@@ -57,8 +57,7 @@ impl Compiled {
 pub(crate) fn split(full: Module, library: Arc<Module>) -> Compiled {
     let n = full.strata.len();
     let (full, lib) = (Arc::new(full), &*library);
-    let sharable =
-        lib.params.is_empty() && full.stratum_reads.len() == n && full.stratum_deps.len() == n;
+    let sharable = lib.params.is_empty();
     let mut equal = vec![false; n];
     let mode = |m: &Module, p: &Name| m.pred_info.get(p).map(|i| i.mode.clone());
     for (i, s) in full.strata.iter().enumerate() {

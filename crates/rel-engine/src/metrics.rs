@@ -60,9 +60,12 @@ pub(crate) fn store(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// The `REL_SLOW_QUERY_MS` threshold: queries slower than this many
-/// milliseconds are evaluated under a profile sink and their rendered
-/// [`crate::profile::QueryProfile`] is logged to stderr.
+/// The `REL_SLOW_QUERY_MS` threshold. When set, every
+/// [`crate::Session::query`] and [`crate::Prepared::execute_with`] is
+/// evaluated under a profile sink (on the same stratum scheduler as an
+/// unprofiled read), and one at least this many milliseconds slow is
+/// counted in `slow_queries` and has its rendered
+/// [`crate::profile::QueryProfile`] logged to stderr.
 pub fn slow_query_ms() -> Option<u64> {
     crate::config::env().slow_query_ms
 }

@@ -151,12 +151,7 @@ impl Prepared {
     /// mismatches are errors rather than silently-empty results. Returns
     /// the `output` relation (integrity constraints in scope are checked).
     pub fn execute_with(&self, session: &Session, params: &Params) -> RelResult<Relation> {
-        let start = crate::metrics::enabled().then(std::time::Instant::now);
-        let (rels, _) = session.read(&self.compiled, &mut self.bind(params, session.db())?)?;
-        if let Some(start) = start {
-            crate::metrics::registry().query_us.record(start.elapsed());
-        }
-        Ok(rels.get("output").cloned().unwrap_or_default())
+        session.read_output(&self.src, || Ok((&*self.compiled, self.bind(params, session.db())?)))
     }
 
     /// [`Prepared::execute`] under a profile sink — see
@@ -169,21 +164,16 @@ impl Prepared {
         self.execute_with_profiled(session, &Params::new())
     }
 
-    /// [`Prepared::execute_with`] under a profile sink.
+    /// [`Prepared::execute_with`] under a profile sink. A prepared handle
+    /// is by construction compiled, so the profile's module-cache outcome
+    /// is the cache's *current* view of the source.
     pub fn execute_with_profiled(
         &self,
         session: &Session,
         params: &Params,
     ) -> RelResult<(Relation, crate::profile::QueryProfile)> {
-        let start = std::time::Instant::now();
-        // A prepared handle is by construction compiled: its module came
-        // out of the session's cache (or was inserted there) at prepare
-        // time. Report the cache's *current* view of the source.
-        let module_cache_hit = session.module_cached(&self.src);
-        let mut db = self.bind(params, session.db())?;
-        session.run_profiled(start, module_cache_hit, |s| {
-            let (rels, outcome) = s.read(&self.compiled, &mut db)?;
-            Ok((rels.get("output").cloned().unwrap_or_default(), outcome))
+        session.read_output_profiled(&self.src, || {
+            Ok((&*self.compiled, self.bind(params, session.db())?))
         })
     }
 

@@ -3,24 +3,26 @@
 //! A [`ProfileSink`] belongs to one profiled evaluation
 //! ([`crate::Session::query_profiled`] /
 //! [`crate::Prepared::execute_profiled`]) and rides the index-cache handle
-//! that evaluation runs on, a private copy no other evaluation shares;
-//! the evaluator's dispatch
-//! points — join-kernel choice, fused-rule recognition, sorted-view cache
-//! lookups (non-prefix probes and kernel tries), fixpoint iterations —
-//! tick its atomic counters, and the
-//! fixpoint/incremental drivers push one [`StratumProfile`] per stratum
-//! with wall time and the counter deltas attributable to it. The session
-//! assembles the result into a [`QueryProfile`].
+//! that evaluation runs on, a private copy no other evaluation shares.
+//! The fixpoint and incremental drivers evaluate each stratum on a copy of
+//! that handle carrying a fresh sink of the stratum's own; the evaluator's
+//! dispatch points — join-kernel choice, fused-rule recognition,
+//! sorted-view cache lookups (non-prefix probes and kernel tries),
+//! fixpoint iterations — tick its atomic counters, and one
+//! [`StratumProfile`] per stratum, with its start, wall time and those
+//! counts, lands on the evaluation's sink. Profiled strata run on the same
+//! scheduler as unprofiled ones, concurrently where the stratum DAG
+//! allows. The session assembles the result into a [`QueryProfile`].
 //!
 //! # Reading a QueryProfile
 //!
 //! [`QueryProfile::render`] prints one header line and one line per
-//! stratum:
+//! stratum, in stratum order:
 //!
 //! ```text
 //! query profile  wall=3.4ms  module-cache=hit  fixpoint=incremental (reused=2, delta-restarted=1, recomputed=0)
-//!   stratum 0  [TC] recursive  delta-restarted  wall=2.1ms  iters=3  kernel=wcoj  joins: wcoj=9 binary=0  rules: fused=0 env=12  index: built=1 reused=4  trie: built=2 reused=7
-//!   stratum 1  [Size]  reused  wall=0.0ms
+//!   stratum 0  [TC] recursive  delta-restarted  at=+0.3ms  wall=2.1ms  iters=3  kernel=wcoj  joins: wcoj=9 binary=0  rules: fused=0 env=12  index: built=1 reused=4  trie: built=2 reused=7
+//!   stratum 1  [Size]  reused  at=+2.4ms  wall=0.0ms
 //! ```
 //!
 //! * **fixpoint** — how the whole evaluation was served: `full` (from
@@ -31,25 +33,34 @@
 //!   pointer bump), `delta-restarted` (semi-naive restart from the
 //!   previous fixpoint), `recomputed` (re-evaluated inside the changed
 //!   cone).
+//! * **at** — when the stratum started, after the evaluation did; with
+//!   `wall`, it shows which strata ran concurrently.
 //! * **kernel** — the dominant join/rule kernel the stratum ran on:
 //!   `wcoj` (leapfrog triejoin), `fused` (columnar whole-rule kernels),
 //!   `binary` (pairwise joins through the env machinery), or `mixed`.
 //! * **iters** — fixpoint iterations (semi-naive rounds or PFP steps);
 //!   absent for non-recursive strata.
 //!
-//! [`QueryProfile::explain`] is the same rendering without wall times —
-//! stable across runs, suitable for tests and for `:explain` in the repl.
+//! [`QueryProfile::explain`] is the same rendering without `at` and wall
+//! times — stable across runs, suitable for tests and for `:explain` in
+//! the repl. One count can move: strata that run concurrently over a
+//! shared input split that input's trie `built`/`reused` by which of them
+//! reached the cache first.
 
+use crate::eval::SharedIndexCache;
 use crate::incremental::IncrementalStats;
+use rel_core::RelResult;
+use rel_sema::ir::Module;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Kernel/cache event counters ticked by the evaluators of one profiled
-/// evaluation (see module docs). All relaxed: a sink belongs to one
-/// evaluation.
+/// evaluation or stratum (see module docs), and the stratum records of an
+/// evaluation. All relaxed: a sink belongs to one evaluation.
 #[derive(Debug, Default)]
 pub struct ProfileSink {
+    created: Epoch,
     iterations: AtomicU64,
     wcoj_joins: AtomicU64,
     binary_joins: AtomicU64,
@@ -60,6 +71,16 @@ pub struct ProfileSink {
     trie_builds: AtomicU64,
     trie_reuses: AtomicU64,
     strata: Mutex<Vec<StratumProfile>>,
+}
+
+/// When a sink was made: the origin of its records' `start` offsets.
+#[derive(Debug)]
+struct Epoch(Instant);
+
+impl Default for Epoch {
+    fn default() -> Self {
+        Epoch(Instant::now())
+    }
 }
 
 macro_rules! sink_counters {
@@ -92,7 +113,7 @@ impl ProfileSink {
         trie_reuses => note_trie_reuse,
     }
 
-    /// Read the current counter totals (used to form per-stratum deltas).
+    /// Read the current counter totals.
     pub fn counts(&self) -> KernelCounts {
         KernelCounts {
             iterations: self.iterations.load(Ordering::Relaxed),
@@ -107,28 +128,59 @@ impl ProfileSink {
         }
     }
 
+    fn records(&self) -> std::sync::MutexGuard<'_, Vec<StratumProfile>> {
+        self.strata.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Append one finished stratum record.
     pub fn push_stratum(&self, s: StratumProfile) {
-        self.strata.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(s);
+        self.records().push(s);
     }
 
-    /// Re-classify the most recently pushed stratum (the incremental
-    /// driver records recomputed-in-cone strata through the stock
-    /// evaluator, then relabels).
-    pub fn relabel_last(&self, action: StratumAction) {
-        let mut strata =
-            self.strata.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(last) = strata.last_mut() {
-            last.action = action;
-        }
+    /// Run `f`, then put the stratum records it pushed in stratum-index
+    /// order: concurrent strata finish, and push, in any order.
+    pub(crate) fn index_ordered<T>(&self, f: impl FnOnce() -> T) -> T {
+        let mark = self.records().len();
+        let out = f();
+        self.records()[mark..].sort_by_key(|s| s.index);
+        out
     }
 
-    /// Drain the stratum records (in evaluation order).
+    /// Drain the stratum records.
     pub fn take_strata(&self) -> Vec<StratumProfile> {
-        std::mem::take(
-            &mut *self.strata.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-        )
+        std::mem::take(&mut *self.records())
     }
+}
+
+/// Run `eval`, the evaluation of stratum `index` of `module`, and record
+/// it when `cache` is profiled: `eval` then runs on a copy of the handle
+/// carrying a fresh sink of the stratum's own, and one [`StratumProfile`]
+/// — `action`, start, wall time and that sink's counts — is pushed onto
+/// the evaluation's sink. Unprofiled, `eval` runs on `cache` itself.
+pub(crate) fn record_stratum(
+    module: &Module,
+    index: usize,
+    action: StratumAction,
+    cache: &SharedIndexCache,
+    eval: impl FnOnce(&SharedIndexCache) -> RelResult<()>,
+) -> RelResult<()> {
+    let Some(sink) = cache.profile() else {
+        return eval(cache);
+    };
+    let own = Arc::new(ProfileSink::new());
+    let start = Instant::now();
+    let result = eval(&cache.profiled(Arc::clone(&own)));
+    let stratum = &module.strata[index];
+    sink.push_stratum(StratumProfile {
+        index,
+        preds: stratum.preds.iter().map(|p| p.to_string()).collect(),
+        recursive: stratum.recursive,
+        action,
+        start: start.saturating_duration_since(sink.created.0),
+        wall: start.elapsed(),
+        counts: own.counts(),
+    });
+    result
 }
 
 /// A plain read of a [`ProfileSink`]'s counters.
@@ -156,21 +208,6 @@ pub struct KernelCounts {
 }
 
 impl KernelCounts {
-    /// Per-field difference `self - earlier` (saturating).
-    pub fn since(&self, earlier: &KernelCounts) -> KernelCounts {
-        KernelCounts {
-            iterations: self.iterations.saturating_sub(earlier.iterations),
-            wcoj_joins: self.wcoj_joins.saturating_sub(earlier.wcoj_joins),
-            binary_joins: self.binary_joins.saturating_sub(earlier.binary_joins),
-            fused_rules: self.fused_rules.saturating_sub(earlier.fused_rules),
-            env_rules: self.env_rules.saturating_sub(earlier.env_rules),
-            index_builds: self.index_builds.saturating_sub(earlier.index_builds),
-            index_reuses: self.index_reuses.saturating_sub(earlier.index_reuses),
-            trie_builds: self.trie_builds.saturating_sub(earlier.trie_builds),
-            trie_reuses: self.trie_reuses.saturating_sub(earlier.trie_reuses),
-        }
-    }
-
     /// The dominant kernel these counts witness (see module docs).
     ///
     /// Only *join dispatches* discriminate: a rule whose conjunction
@@ -226,15 +263,20 @@ impl StratumAction {
 /// One stratum's share of a profiled evaluation.
 #[derive(Clone, Debug)]
 pub struct StratumProfile {
+    /// The stratum's index in the module it belongs to.
+    pub index: usize,
     /// The stratum's materialized predicates.
     pub preds: Vec<String>,
     /// Is the stratum recursive (semi-naive or PFP)?
     pub recursive: bool,
     /// How it was handled.
     pub action: StratumAction,
+    /// When it started, measured from the creation of the evaluation's
+    /// sink.
+    pub start: Duration,
     /// Wall time attributable to it.
     pub wall: Duration,
-    /// Kernel/cache counter deltas attributable to it.
+    /// Kernel/cache counts of its own evaluation.
     pub counts: KernelCounts,
 }
 
@@ -248,7 +290,8 @@ impl StratumProfile {
         out.push_str(self.action.label());
         if timings {
             out.push_str(&format!(
-                "  wall={:.1}ms",
+                "  at=+{:.1}ms  wall={:.1}ms",
+                self.start.as_secs_f64() * 1e3,
                 self.wall.as_secs_f64() * 1e3
             ));
         }
@@ -314,8 +357,8 @@ pub struct QueryProfile {
     pub module_cache_hit: bool,
     /// How the fixpoint was served.
     pub fixpoint: FixpointOutcome,
-    /// Per-stratum records, in evaluation order. Empty when the whole
-    /// fixpoint was reused from cache.
+    /// Per-stratum records, each materialization's in stratum order.
+    /// Empty when the whole fixpoint was reused from cache.
     pub strata: Vec<StratumProfile>,
 }
 
@@ -338,10 +381,14 @@ impl QueryProfile {
         t
     }
 
-    /// Sum of the per-stratum wall times (≤ [`QueryProfile::wall`]; the
-    /// remainder is compile/extract/bookkeeping time).
+    /// The span of the stratum records, from the first one's start to the
+    /// last one's end (≤ [`QueryProfile::wall`]; the remainder is
+    /// compile/extract/bookkeeping time). Strata that ran concurrently
+    /// overlap inside it.
     pub fn strata_wall(&self) -> Duration {
-        self.strata.iter().map(|s| s.wall).sum()
+        let first = self.strata.iter().map(|s| s.start).min().unwrap_or_default();
+        let last = self.strata.iter().map(|s| s.start + s.wall).max().unwrap_or_default();
+        last.saturating_sub(first)
     }
 
     fn render_with(&self, timings: bool) -> String {
@@ -366,7 +413,7 @@ impl QueryProfile {
     }
 
     /// EXPLAIN-style rendering: structure and kernel choices only, no
-    /// wall times — stable across runs of the same query.
+    /// start or wall times — stable across runs of the same query.
     pub fn explain(&self) -> String {
         self.render_with(false)
     }
@@ -376,11 +423,13 @@ impl QueryProfile {
 mod tests {
     use super::*;
 
-    fn stratum(action: StratumAction, counts: KernelCounts) -> StratumProfile {
+    fn stratum(index: usize, action: StratumAction, counts: KernelCounts) -> StratumProfile {
         StratumProfile {
+            index,
             preds: vec!["TC".to_string()],
             recursive: true,
             action,
+            start: Duration::from_micros(300),
             wall: Duration::from_micros(1500),
             counts,
         }
@@ -409,21 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_since_is_per_field() {
-        let sink = ProfileSink::new();
-        sink.note_wcoj_join();
-        let before = sink.counts();
-        sink.note_wcoj_join();
-        sink.note_index_build();
-        sink.note_iteration();
-        let d = sink.counts().since(&before);
-        assert_eq!(d.wcoj_joins, 1);
-        assert_eq!(d.index_builds, 1);
-        assert_eq!(d.iterations, 1);
-        assert_eq!(d.binary_joins, 0);
-    }
-
-    #[test]
     fn render_and_explain_shapes() {
         let p = QueryProfile {
             wall: Duration::from_millis(5),
@@ -435,14 +469,18 @@ mod tests {
             }),
             strata: vec![
                 stratum(
+                    0,
                     StratumAction::DeltaRestarted,
                     KernelCounts { wcoj_joins: 4, iterations: 2, ..Default::default() },
                 ),
+                // Ran concurrently with stratum 0, inside its span.
                 StratumProfile {
+                    index: 1,
                     preds: vec!["Size".to_string()],
                     recursive: false,
                     action: StratumAction::Reused,
-                    wall: Duration::ZERO,
+                    start: Duration::from_micros(1000),
+                    wall: Duration::from_micros(200),
                     counts: KernelCounts::default(),
                 },
             ],
@@ -451,21 +489,25 @@ mod tests {
         assert!(full.contains("module-cache=hit"), "{full}");
         assert!(full.contains("delta-restarted"), "{full}");
         assert!(full.contains("kernel=wcoj"), "{full}");
-        assert!(full.contains("wall="), "{full}");
+        assert!(full.contains("delta-restarted  at=+0.3ms  wall=1.5ms"), "{full}");
         let explain = p.explain();
-        assert!(!explain.contains("wall="), "{explain}");
+        assert!(!explain.contains("wall=") && !explain.contains("at="), "{explain}");
         assert!(explain.contains("stratum 1  [Size]"), "{explain}");
         assert_eq!(p.totals().wcoj_joins, 4);
         assert_eq!(p.strata_wall(), Duration::from_micros(1500));
     }
 
     #[test]
-    fn relabel_last_reclassifies() {
+    fn index_ordered_sorts_only_the_records_of_its_run() {
         let sink = ProfileSink::new();
-        sink.push_stratum(stratum(StratumAction::Evaluated, KernelCounts::default()));
-        sink.relabel_last(StratumAction::Recomputed);
-        let strata = sink.take_strata();
-        assert_eq!(strata[0].action, StratumAction::Recomputed);
+        sink.push_stratum(stratum(5, StratumAction::Evaluated, KernelCounts::default()));
+        sink.index_ordered(|| {
+            for i in [2, 0, 1] {
+                sink.push_stratum(stratum(i, StratumAction::Evaluated, KernelCounts::default()));
+            }
+        });
+        let order: Vec<usize> = sink.take_strata().iter().map(|s| s.index).collect();
+        assert_eq!(order, [5, 0, 1, 2]);
         assert!(sink.take_strata().is_empty());
     }
 }

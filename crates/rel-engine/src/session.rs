@@ -35,6 +35,7 @@ use rel_core::{Database, Name, RelError, RelResult, Relation, Tuple, Value};
 use rel_sema::ir::{ConstraintIr, Module, Rule};
 use rel_syntax::Program;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -647,56 +648,63 @@ impl Session {
     /// evaluated but **not** applied. Equivalent to
     /// `self.prepare(src)?.execute(self)` minus the reusable handle.
     pub fn query(&self, src: &str) -> RelResult<Relation> {
-        // With a slow-query threshold armed, run under a profile sink so
-        // a crossing logs *what the query did*, not just that it was slow.
+        self.read_output(src, || Ok((self.compiled_query(src)?, self.db.clone())))
+    }
+
+    /// [`Session::query`] under a profile sink: returns the `output`
+    /// relation — byte-identical to an unprofiled run — together with a
+    /// [`QueryProfile`] of what the engine did to produce it (per-stratum
+    /// start and wall times and kernel choices, cache/reuse outcomes,
+    /// incremental classification); see [`crate::profile`] for how to
+    /// read the result.
+    pub fn query_profiled(&self, src: &str) -> RelResult<(Relation, QueryProfile)> {
+        self.read_output_profiled(src, || Ok((self.compiled_query(src)?, self.db.clone())))
+    }
+
+    /// The one read path of [`Session::query`] and
+    /// [`crate::Prepared::execute_with`]: `input` compiles or binds the
+    /// query (its module and the database it reads), and the `output`
+    /// relation comes back, with `query_us` recorded. Only an armed
+    /// slow-query log ([`metrics::slow_query_ms`]) runs it under a profile
+    /// sink, so that a crossing logs *what the query did*; unarmed, it
+    /// pays for no sink, session clone or module-cache lookup.
+    pub(crate) fn read_output<C: Deref<Target = Compiled>>(
+        &self,
+        src: &str,
+        input: impl FnOnce() -> RelResult<(C, Database)>,
+    ) -> RelResult<Relation> {
         if metrics::slow_query_ms().is_some() {
-            return self.query_profiled(src).map(|(out, _)| out);
+            return self.read_output_profiled(src, input).map(|(out, _)| out);
         }
         let start = metrics::enabled().then(std::time::Instant::now);
-        let compiled = self.compiled_query(src)?;
-        let (rels, _) = self.read(&compiled, &mut self.db.clone())?;
+        let (compiled, mut db) = input()?;
+        let (rels, _) = self.read(&compiled, &mut db)?;
         if let Some(start) = start {
             metrics::registry().query_us.record(start.elapsed());
         }
         Ok(rels.get("output").cloned().unwrap_or_default())
     }
 
-    /// [`Session::query`] under a profile sink: returns the `output`
-    /// relation — byte-identical to an unprofiled run — together with a
-    /// [`QueryProfile`] of what the engine did to produce it (per-stratum
-    /// wall times and kernel choices, cache/reuse outcomes, incremental
-    /// classification). Profiled runs evaluate strata sequentially so the
-    /// per-stratum wall times are attributable; see
-    /// [`crate::profile`] for how to read the result.
-    pub fn query_profiled(&self, src: &str) -> RelResult<(Relation, QueryProfile)> {
+    /// [`Session::read_output`] under a profile sink: the read runs on a
+    /// clone whose index-cache handle carries a fresh sink (it shares the
+    /// tries and every other cache, but no other evaluation ticks the
+    /// sink), and its [`QueryProfile`] comes back with the `output`
+    /// relation. Records query latency and feeds the slow-query log.
+    pub(crate) fn read_output_profiled<C: Deref<Target = Compiled>>(
+        &self,
+        src: &str,
+        input: impl FnOnce() -> RelResult<(C, Database)>,
+    ) -> RelResult<(Relation, QueryProfile)> {
         let start = std::time::Instant::now();
         let module_cache_hit = self.module_cached(src);
-        let compiled = self.compiled_query(src)?;
-        self.run_profiled(start, module_cache_hit, |s| {
-            let (rels, outcome) = s.read(&compiled, &mut s.db.clone())?;
-            Ok((rels.get("output").cloned().unwrap_or_default(), outcome))
-        })
-    }
-
-    /// Shared profiled-evaluation harness ([`Session::query_profiled`],
-    /// [`crate::Prepared::execute_profiled`]): run `eval` on a clone whose
-    /// index-cache handle carries a fresh sink (it shares the tries and
-    /// every other cache, but no other evaluation ticks the sink), and
-    /// assemble the [`QueryProfile`] (recording query latency and the
-    /// slow-query log on the way out).
-    pub(crate) fn run_profiled<T>(
-        &self,
-        start: std::time::Instant,
-        module_cache_hit: bool,
-        eval: impl FnOnce(&Session) -> RelResult<(T, FixpointOutcome)>,
-    ) -> RelResult<(T, QueryProfile)> {
+        let (compiled, mut db) = input()?;
         let sink = Arc::new(ProfileSink::new());
         let mut profiled = self.clone();
         profiled.index_cache = self.index_cache.profiled(Arc::clone(&sink));
-        let result = eval(&profiled);
+        let result = profiled.read(&compiled, &mut db);
         // Keep the library state the read advanced, as an unprofiled read does.
         *write(&self.library_state) = profiled.stored_library_state();
-        let (value, fixpoint) = result?;
+        let (rels, fixpoint) = result?;
         let profile = QueryProfile {
             wall: start.elapsed(),
             module_cache_hit,
@@ -715,7 +723,7 @@ impl Session {
                 );
             }
         }
-        Ok((value, profile))
+        Ok((rels.get("output").cloned().unwrap_or_default(), profile))
     }
 
     /// Was this query source already compiled into the session's module

@@ -181,16 +181,53 @@ fn incremental_recursion_is_delta_restarted() {
     assert!(restarted.recursive, "only the recursive stratum restarts");
 }
 
+/// The strata's span — first start to last end — lies inside the query's
+/// end-to-end wall.
 #[test]
 fn strata_wall_is_bounded_by_query_wall() {
     let s = triangle_session();
     let (_, profile) = s.query_profiled(TRIANGLE).unwrap();
     assert!(
         profile.strata_wall() <= profile.wall,
-        "stratum times ({:?}) cannot exceed the end-to-end wall ({:?})",
+        "the strata's span ({:?}) cannot exceed the end-to-end wall ({:?})",
         profile.strata_wall(),
         profile.wall
     );
+}
+
+const TWO_CLOSURES: &str = "def TC1(x, y) : E1(x, y)\n\
+                            def TC1(x, y) : exists((z) | TC1(x, z) and E1(z, y))\n\
+                            def TC2(x, y) : E2(x, y)\n\
+                            def TC2(x, y) : exists((z) | TC2(x, z) and E2(z, y))\n\
+                            def output(x, y) : TC1(x, y) or TC2(x, y)";
+
+#[test]
+fn profiled_independent_strata_explain_stably_in_stratum_order() {
+    // Two closures over disjoint inputs: strata the scheduler may run at
+    // once (each reads only its own relations, so no trie is shared and
+    // every count is fixed). A fresh session per run evaluates in full.
+    let chain = |base: i64| Relation::from_tuples((0..40).map(|i| tuple![base + i, base + i + 1]));
+    let mut db = Database::new();
+    db.set("E1", chain(0));
+    db.set("E2", chain(100));
+    let plain = Session::new(db.clone()).query(TWO_CLOSURES).unwrap();
+    assert_eq!(plain.len(), 2 * 40 * 41 / 2);
+    let mut first: Option<String> = None;
+    for run in 0..20 {
+        let (rows, profile) = Session::new(db.clone()).query_profiled(TWO_CLOSURES).unwrap();
+        assert_eq!(rows, plain, "run {run}: profiling changed the result");
+        let order: Vec<usize> = profile.strata.iter().map(|s| s.index).collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "run {run}: strata out of order: {order:?}");
+        for tc in ["TC1", "TC2"] {
+            let st = profile.strata.iter().find(|s| s.preds == [tc]).expect("each closure is recorded");
+            assert!(st.counts.iterations > 1, "run {run}: {tc} iterates: {:?}", st.counts);
+        }
+        let explain = profile.explain();
+        match &first {
+            None => first = Some(explain),
+            Some(want) => assert_eq!(&explain, want, "run {run}: explain() moved between runs"),
+        }
+    }
 }
 
 #[test]

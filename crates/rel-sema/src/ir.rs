@@ -397,6 +397,12 @@ impl StratumReads {
 }
 
 /// A fully analysed program, ready for the engine.
+///
+/// [`Module::strata`], [`Module::stratum_deps`] and
+/// [`Module::stratum_reads`] are filled together, one entry per stratum,
+/// by every producer (`rel_sema::analyze`, and the engine's split of a
+/// query against its library); consumers index all three by stratum and
+/// keep no fallback for a module where they disagree.
 #[derive(Clone, Debug, Default)]
 pub struct Module {
     /// Rules grouped by head predicate.
@@ -453,14 +459,8 @@ impl Module {
     /// pre-state result wholesale (the engine's `incremental` module does
     /// exactly that). Because [`Module::strata`] is in dependency order,
     /// one forward pass closes the cone transitively.
-    ///
-    /// A module without read-set metadata (hand-assembled, out of sync)
-    /// conservatively returns *every* stratum.
     pub fn dependent_cone(&self, touched: &std::collections::BTreeSet<Name>) -> Vec<usize> {
         let n = self.strata.len();
-        if self.stratum_reads.len() != n || self.stratum_deps.len() != n {
-            return (0..n).collect();
-        }
         let mut in_cone = vec![false; n];
         for i in 0..n {
             in_cone[i] = self.strata[i].preds.iter().any(|p| touched.contains(p))

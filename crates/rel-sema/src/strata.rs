@@ -559,14 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn dependent_cone_without_read_sets_is_conservative() {
-        let mut m = crate::compile("def A(x) : E(x)\ndef B(x) : F(x)").unwrap();
-        m.stratum_reads.clear();
-        let touched = [rel_core::name("E")].into_iter().collect();
-        assert_eq!(m.dependent_cone(&touched).len(), m.strata.len());
-    }
-
-    #[test]
     fn dag_independent_components_share_no_ancestry() {
         // Two disjoint TC components: neither stratum depends on the other,
         // so a DAG scheduler may materialize them concurrently.

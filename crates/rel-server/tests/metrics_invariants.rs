@@ -91,6 +91,8 @@ fn counters_are_monotone_across_randomized_txn_stream() {
     assert!(last.get("aborts") >= aborts);
 }
 
+/// The strata's span — first start to last end — lies inside the query's
+/// end-to-end wall.
 #[test]
 fn profile_strata_wall_never_exceeds_query_wall() {
     let s = Session::new(seeded_db(24));
@@ -98,7 +100,7 @@ fn profile_strata_wall_never_exceeds_query_wall() {
         let (_, profile) = s.query_profiled(TC).unwrap();
         assert!(
             profile.strata_wall() <= profile.wall,
-            "strata {:?} > wall {:?}\n{}",
+            "strata span {:?} > wall {:?}\n{}",
             profile.strata_wall(),
             profile.wall,
             profile.render()
