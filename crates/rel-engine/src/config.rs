@@ -142,8 +142,6 @@ pub(crate) struct Env {
     metrics: Option<bool>,
     pub(crate) watch_buffer: usize,
     pub(crate) fsync: FsyncPolicy,
-    /// `REL_DURABILITY`: whether `Session::open` attaches a store.
-    pub(crate) durable: bool,
     pub(crate) slow_query_ms: Option<u64>,
 }
 
@@ -186,7 +184,6 @@ impl Env {
                 Some(v) if switch(v) == Some(false) => FsyncPolicy::Off,
                 _ => FsyncPolicy::Batch,
             },
-            durable: flag("REL_DURABILITY").unwrap_or(true),
             slow_query_ms: get("REL_SLOW_QUERY_MS").and_then(|v| v.parse().ok()),
         }
     }
@@ -209,7 +206,6 @@ mod tests {
     #[test]
     fn unset_environment_gives_the_defaults() {
         let env = read(&[]);
-        assert!(env.durable);
         assert_eq!(env.metrics, None);
         assert_eq!(env.watch_buffer, DEFAULT_WATCH_BUFFER);
         assert_eq!(env.fsync, FsyncPolicy::Batch);
@@ -219,25 +215,19 @@ mod tests {
     #[test]
     fn one_switch_spelling_for_every_variable() {
         for off in ["0", " off ", "FALSE", "no"] {
-            let env = read(&[
-                ("REL_METRICS", off),
-                ("REL_FSYNC", off),
-                ("REL_DURABILITY", off),
-            ]);
-            assert!(!env.durable, "{off:?}");
-            assert_eq!(env.metrics, Some(false));
-            assert_eq!(env.fsync, FsyncPolicy::Off);
+            let env = read(&[("REL_METRICS", off), ("REL_FSYNC", off)]);
+            assert_eq!(env.metrics, Some(false), "{off:?}");
+            assert_eq!(env.fsync, FsyncPolicy::Off, "{off:?}");
         }
         for on in ["1", "true", " On ", "yes"] {
-            let env = read(&[("REL_METRICS", on), ("REL_DURABILITY", on)]);
-            assert_eq!((env.metrics, env.durable), (Some(true), true), "{on:?}");
+            assert_eq!(read(&[("REL_METRICS", on)]).metrics, Some(true), "{on:?}");
         }
-        let env = read(&[("REL_METRICS", "maybe"), ("REL_DURABILITY", "maybe")]);
+        let env = read(&[("REL_METRICS", "maybe"), ("REL_FSYNC", "maybe")]);
         assert_eq!(
             env.metrics, None,
             "an unknown spelling leaves the switch alone"
         );
-        assert!(env.durable);
+        assert_eq!(env.fsync, FsyncPolicy::Batch);
     }
 
     #[test]

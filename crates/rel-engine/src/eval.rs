@@ -29,6 +29,7 @@ use crate::profile::ProfileSink;
 use rel_core::{Name, RelError, RelResult, Relation, Tuple, Value};
 use rel_sema::builtins as bsig;
 use rel_sema::ir::{AbsParam, Atom, EvalMode, Formula, Module, RExpr, Rule, Term, Var};
+use rel_sema::safety;
 use rel_syntax::ast::CmpOp;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, RwLock};
@@ -240,16 +241,9 @@ impl<'a> EvalCtx<'a> {
         self.rels.get(pred).cloned().unwrap_or_default()
     }
 
-    fn pred_mode(&self, pred: &Name) -> EvalMode {
-        self.module
-            .pred_info
-            .get(pred)
-            .map(|i| i.mode.clone())
-            .unwrap_or(EvalMode::Materialize)
-    }
-
+    /// The bound prefix `pred` needs when it is demand-driven.
     fn is_demand(&self, pred: &Name) -> Option<usize> {
-        match self.pred_mode(pred) {
+        match self.module.pred_info.get(pred)?.mode {
             EvalMode::Demand { bound_prefix } => Some(bound_prefix),
             EvalMode::Materialize => None,
         }
@@ -909,16 +903,7 @@ impl<'a> EvalCtx<'a> {
     /// the smallest-relation generator; stuck scheduling is a bug the
     /// safety analysis should have caught.
     fn eval_conj(&self, items: &[Formula], mut envs: Vec<Env>) -> RelResult<Vec<Env>> {
-        let mut pending: Vec<&Formula> = Vec::with_capacity(items.len());
-        fn flatten<'x>(items: &'x [Formula], out: &mut Vec<&'x Formula>) {
-            for f in items {
-                match f {
-                    Formula::Conj(inner) => flatten(inner, out),
-                    other => out.push(other),
-                }
-            }
-        }
-        flatten(items, &mut pending);
+        let mut pending: Vec<&Formula> = items.iter().collect();
 
         // Once WCOJ planning fails for this conjunction it can never
         // start succeeding: scheduling only consumes conjuncts and binds
@@ -1250,11 +1235,12 @@ impl<'a> EvalCtx<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Conjunct scheduling (abstract, mirrors rel-sema::safety)
+    // Conjunct scheduling: whether a conjunct can run is rel-sema's
+    // safety analysis; which runnable conjunct goes next is decided here
     // ------------------------------------------------------------------
 
     fn schedule(&self, f: &Formula, bound: &BTreeSet<Var>) -> Sched {
-        match self.sched_newly(f, bound) {
+        match safety::formula_binds(f, bound, |p| self.is_demand(p)) {
             None => Sched::No,
             Some(newly) if newly.is_empty() => Sched::Filter,
             Some(_) => Sched::Generate(self.cost_estimate(f)),
@@ -1281,278 +1267,6 @@ impl<'a> EvalCtx<'a> {
             },
             Formula::Cmp { .. } => 4,
             _ => 128,
-        }
-    }
-
-    /// Abstract schedulability: `None` = cannot run; `Some(newly)` = runs
-    /// binding `newly`. Mirrors `rel_sema::safety::Cx::try_run`.
-    fn sched_newly(&self, f: &Formula, bound: &BTreeSet<Var>) -> Option<BTreeSet<Var>> {
-        match f {
-            Formula::True | Formula::False => Some(BTreeSet::new()),
-            Formula::Conj(items) => {
-                let mut b = bound.clone();
-                let mut pending: Vec<&Formula> = items.iter().collect();
-                while !pending.is_empty() {
-                    let before = pending.len();
-                    pending.retain(|g| match self.sched_newly(g, &b) {
-                        Some(n) => {
-                            b.extend(n);
-                            false
-                        }
-                        None => true,
-                    });
-                    if pending.len() == before {
-                        return None;
-                    }
-                }
-                Some(&b - bound)
-            }
-            Formula::Disj(branches) => {
-                let mut common: Option<BTreeSet<Var>> = None;
-                for br in branches {
-                    let n = self.sched_newly(br, bound)?;
-                    common = Some(match common {
-                        None => n,
-                        Some(c) => &c & &n,
-                    });
-                }
-                Some(common.unwrap_or_default())
-            }
-            Formula::Not(inner) => {
-                self.sched_newly(inner, bound)?;
-                Some(BTreeSet::new())
-            }
-            Formula::Atom(a) => self.sched_atom(&a.pred, &a.args, bound),
-            Formula::DynAtom { rel, args } => {
-                self.sched_expr(rel, bound)?;
-                Some(new_vars(args, bound))
-            }
-            Formula::Member { term, of } => match &**of {
-                RExpr::Pred(p) => {
-                    if let Some(sig) = bsig::lookup(p) {
-                        return (sig.type_test && term_bound_in(term, bound))
-                            .then(BTreeSet::new);
-                    }
-                    Some(new_vars(std::slice::from_ref(term), bound))
-                }
-                other => {
-                    let mut n = self.sched_expr(other, bound)?;
-                    n.extend(new_vars(std::slice::from_ref(term), bound));
-                    Some(n)
-                }
-            },
-            Formula::Cmp { op, lhs, rhs } => {
-                let l = self.sched_expr(lhs, bound);
-                let r = self.sched_expr(rhs, bound);
-                match (l, r) {
-                    (Some(a), Some(b)) => Some(a.union(&b).copied().collect()),
-                    (l, r) if *op == CmpOp::Eq => {
-                        if let (RExpr::Singleton(ts), Some(rb)) = (&**lhs, &r) {
-                            if let [t] = ts.as_slice() {
-                                let mut out = rb.clone();
-                                out.extend(new_vars(std::slice::from_ref(t), bound));
-                                return Some(out);
-                            }
-                        }
-                        if let (Some(lb), RExpr::Singleton(ts)) = (&l, &**rhs) {
-                            if let [t] = ts.as_slice() {
-                                let mut out = lb.clone();
-                                out.extend(new_vars(std::slice::from_ref(t), bound));
-                                return Some(out);
-                            }
-                        }
-                        None
-                    }
-                    _ => None,
-                }
-            }
-            Formula::Exists { vars, tuple_vars, body, .. } => {
-                let inner = self.sched_newly(body, bound)?;
-                let mut all = bound.clone();
-                all.extend(inner.iter().copied());
-                if !vars.iter().chain(tuple_vars).all(|v| all.contains(v)) {
-                    return None;
-                }
-                let mut newly = inner;
-                for v in vars.iter().chain(tuple_vars) {
-                    newly.remove(v);
-                }
-                Some(newly)
-            }
-            Formula::OfExpr(e) => self.sched_expr(e, bound),
-        }
-    }
-
-    fn sched_atom(&self, pred: &Name, args: &[Term], bound: &BTreeSet<Var>) -> Option<BTreeSet<Var>> {
-        if let Some(sig) = bsig::lookup(pred) {
-            if args.len() + 1 == sig.arity {
-                // Partial application computing the output position:
-                // all provided arguments must be bound.
-                return args
-                    .iter()
-                    .all(|t| term_bound_in(t, bound))
-                    .then(BTreeSet::new);
-            }
-            if args.len() != sig.arity {
-                return None;
-            }
-            'modes: for mode in sig.modes {
-                let mut newly = BTreeSet::new();
-                for (c, t) in mode.chars().zip(args) {
-                    match c {
-                        'b' => {
-                            if !term_bound_in(t, bound) {
-                                continue 'modes;
-                            }
-                        }
-                        _ => {
-                            if let Term::Var(v) = t {
-                                if !bound.contains(v) {
-                                    newly.insert(*v);
-                                }
-                            }
-                        }
-                    }
-                }
-                return Some(newly);
-            }
-            return None;
-        }
-        if let Some(k) = self.is_demand(pred) {
-            if args.iter().any(Term::is_tuple_var) {
-                // Tuple-variable args can't be aligned with the bound
-                // prefix statically: run as a fully-bound filter.
-                return args
-                    .iter()
-                    .all(|t| term_bound_in(t, bound))
-                    .then(BTreeSet::new);
-            }
-            if args.len() < k || !args.iter().take(k).all(|t| term_bound_in(t, bound)) {
-                return None;
-            }
-            return Some(new_vars(&args[k..], bound));
-        }
-        Some(new_vars(args, bound))
-    }
-
-    fn sched_expr(&self, e: &RExpr, bound: &BTreeSet<Var>) -> Option<BTreeSet<Var>> {
-        match e {
-            RExpr::Pred(p) => {
-                // A bare builtin (infinite) or a demand predicate with a
-                // required bound prefix cannot be used whole.
-                let usable = bsig::lookup(p).is_none()
-                    && !self.is_demand(p).map(|k| k > 0).unwrap_or(false);
-                usable.then(BTreeSet::new)
-            }
-            RExpr::PApp { pred, args } => self.sched_atom(pred, args, bound),
-            RExpr::DynPApp { rel, args } => {
-                let mut n = self.sched_expr(rel, bound)?;
-                n.extend(new_vars(args, bound));
-                Some(n)
-            }
-            RExpr::Product(es) => {
-                let mut b = bound.clone();
-                let mut pending: Vec<&RExpr> = es.iter().collect();
-                while !pending.is_empty() {
-                    let before = pending.len();
-                    pending.retain(|x| match self.sched_expr(x, &b) {
-                        Some(n) => {
-                            b.extend(n);
-                            false
-                        }
-                        None => true,
-                    });
-                    if pending.len() == before {
-                        return None;
-                    }
-                }
-                Some(&b - bound)
-            }
-            RExpr::Union(es) => {
-                let mut common: Option<BTreeSet<Var>> = None;
-                for x in es {
-                    let n = self.sched_expr(x, bound)?;
-                    common = Some(match common {
-                        None => n,
-                        Some(c) => &c & &n,
-                    });
-                }
-                Some(common.unwrap_or_default())
-            }
-            RExpr::Singleton(ts) => ts
-                .iter()
-                .all(|t| term_bound_in(t, bound))
-                .then(BTreeSet::new),
-            RExpr::Where { body, cond } => {
-                let n = self.sched_newly(cond, bound)?;
-                let mut b = bound.clone();
-                b.extend(n.iter().copied());
-                let n2 = self.sched_expr(body, &b)?;
-                let mut out = n;
-                out.extend(n2);
-                Some(out)
-            }
-            RExpr::Abstract { params, body, .. } => {
-                let mut members: Vec<Formula> = Vec::new();
-                for p in params {
-                    if let AbsParam::In(v, dom) = p {
-                        members.push(Formula::Member { term: Term::Var(*v), of: dom.clone() });
-                    }
-                }
-                let param_vars: BTreeSet<Var> = params.iter().filter_map(AbsParam::var).collect();
-                let inner = match &**body {
-                    RExpr::OfFormula(f) => {
-                        members.push((**f).clone());
-                        self.sched_newly(&Formula::conj(members), bound)?
-                    }
-                    RExpr::Where { body: vb, cond } => {
-                        members.push((**cond).clone());
-                        let n = self.sched_newly(&Formula::conj(members), bound)?;
-                        let mut b = bound.clone();
-                        b.extend(n.iter().copied());
-                        let n2 = self.sched_expr(vb, &b)?;
-                        n.union(&n2).copied().collect()
-                    }
-                    other => {
-                        let n = self.sched_newly(&Formula::conj(members), bound)?;
-                        let mut b = bound.clone();
-                        b.extend(n.iter().copied());
-                        let n2 = self.sched_expr(other, &b)?;
-                        n.union(&n2).copied().collect()
-                    }
-                };
-                let mut all = bound.clone();
-                all.extend(inner.iter().copied());
-                if !param_vars.iter().all(|v| all.contains(v)) {
-                    return None;
-                }
-                let mut newly = inner;
-                for v in &param_vars {
-                    newly.remove(v);
-                }
-                Some(newly)
-            }
-            RExpr::Reduce { op, input, .. } => {
-                if !matches!(&**op, RExpr::Pred(_)) {
-                    self.sched_expr(op, bound)?;
-                }
-                self.sched_expr(input, bound)
-            }
-            RExpr::BuiltinApp { args, .. } => {
-                let mut newly = BTreeSet::new();
-                for a in args {
-                    let mut b = bound.clone();
-                    b.extend(newly.iter().copied());
-                    newly.extend(self.sched_expr(a, &b)?);
-                }
-                Some(newly)
-            }
-            RExpr::DotJoin(a, b) | RExpr::LeftOverride(a, b) => {
-                let na = self.sched_expr(a, bound)?;
-                let nb = self.sched_expr(b, bound)?;
-                Some(na.union(&nb).copied().collect())
-            }
-            RExpr::OfFormula(f) => self.sched_newly(f, bound),
         }
     }
 
@@ -1812,10 +1526,11 @@ impl<'a> EvalCtx<'a> {
         envs: Vec<Env>,
     ) -> RelResult<Vec<Env>> {
         let mut out = Vec::new();
+        let demand = |p: &Name| self.is_demand(p);
         for env in envs {
             let bound = env_bound(&env);
-            let l_ok = self.sched_expr(lhs, &bound).is_some();
-            let r_ok = self.sched_expr(rhs, &bound).is_some();
+            let l_ok = safety::expr_binds(lhs, &bound, demand).is_some();
+            let r_ok = safety::expr_binds(rhs, &bound, demand).is_some();
             match (l_ok, r_ok) {
                 (true, true) => {
                     for (env1, l) in self.eval_open(lhs, &env)? {
@@ -2082,7 +1797,7 @@ impl<'a> EvalCtx<'a> {
             let bound = env_bound(&states[0].0);
             let pos = pending
                 .iter()
-                .position(|&i| self.sched_expr(&es[i], &bound).is_some())
+                .position(|&i| safety::expr_binds(&es[i], &bound, |p| self.is_demand(p)).is_some())
                 .ok_or_else(|| {
                     RelError::internal("product factors unschedulable (safety gap)")
                 })?;
@@ -2466,22 +2181,6 @@ fn term_refs(ts: &[Term], out: &mut BTreeSet<Var>) {
             Term::Const(_) => {}
         }
     }
-}
-
-fn term_bound_in(t: &Term, bound: &BTreeSet<Var>) -> bool {
-    match t {
-        Term::Const(_) => true,
-        Term::Var(v) | Term::TupleVar(v) => bound.contains(v),
-    }
-}
-
-fn new_vars(ts: &[Term], bound: &BTreeSet<Var>) -> BTreeSet<Var> {
-    ts.iter()
-        .filter_map(|t| match t {
-            Term::Var(v) | Term::TupleVar(v) if !bound.contains(v) => Some(*v),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Unify tuple-variable-free terms against exactly matching values.

@@ -139,7 +139,6 @@
 //!
 //! | Variable | Values | Default | Effect |
 //! |----------|--------|---------|--------|
-//! | `REL_DURABILITY` | switch | on | Whether [`Session::open`] actually attaches durable storage; off, it returns a plain ephemeral session without touching disk. |
 //! | `REL_FSYNC` | `always`, `batch`, switch off | `batch` | When WAL appends reach stable storage ([`FsyncPolicy`]; [`EngineConfig::durability`] per session via [`Session::open_with`]). |
 //! | `REL_WATCH_BUFFER` | positive integer | `64` | Delivery buffer of a standing query ([`Session::watch`]), in [`WatchDelta`] batches: a subscriber further behind than this goes *lagged* — commits stop buffering deltas for it and the next in-cone commit after it drains coalesces everything missed into one resync snapshot ([`EngineConfig::watch_buffer`] per session). |
 //! | `REL_SERVER_ADDR` | `host:port` | `127.0.0.1:0` | Listen address of `rel-server` (port `0` picks a free port). Read by `ServerConfig::from_env` in the `rel-server` crate; the config struct overrides per server. |

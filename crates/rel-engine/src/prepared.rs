@@ -221,9 +221,10 @@ impl Prepared {
     /// [`Database::clone`], amortized across the batch — asserted by the
     /// `execute_many_snapshots` test against the
     /// [`rel_core::database::snapshots`] counter), returning one `output`
-    /// relation per binding, in order. Constraints are checked per
-    /// binding, exactly as [`Prepared::execute_with`] would; the first
-    /// failure aborts the batch.
+    /// relation per binding, in order. Each binding is one read, exactly
+    /// as [`Prepared::execute_with`] runs it — constraints checked,
+    /// `query_us` recorded, the slow-query log armed; the first failure
+    /// aborts the batch.
     pub fn execute_many(&self, session: &Session, batches: &[Params]) -> RelResult<Vec<Relation>> {
         if batches.is_empty() {
             return Ok(Vec::new());
@@ -241,8 +242,7 @@ impl Prepared {
                     db.set(param_relation(p), rel);
                 }
             }
-            let (rels, _) = session.read(&self.compiled, &mut db)?;
-            out.push(rels.get("output").cloned().unwrap_or_default());
+            out.push(session.read_output(&self.src, || Ok((&*self.compiled, &mut db)))?);
         }
         Ok(out)
     }

@@ -42,10 +42,11 @@
 //!   absent for non-recursive strata.
 //!
 //! [`QueryProfile::explain`] is the same rendering without `at` and wall
-//! times — stable across runs, suitable for tests and for `:explain` in
-//! the repl. One count can move: strata that run concurrently over a
-//! shared input split that input's trie `built`/`reused` by which of them
-//! reached the cache first.
+//! times, and with each `built`/`reused` pair as one `lookups` total —
+//! stable across runs, suitable for tests and for `:explain` in the repl.
+//! (Strata that run concurrently over a shared input split its views'
+//! builds and reuses by which of them reached the cache first; the sum
+//! per stratum does not move.)
 
 use crate::eval::SharedIndexCache;
 use crate::incremental::IncrementalStats;
@@ -304,18 +305,27 @@ impl StratumProfile {
             out.push_str(&format!("  iters={}", c.iterations));
         }
         out.push_str(&format!(
-            "  kernel={}  joins: wcoj={} binary={}  rules: fused={} env={}  \
-             index: built={} reused={}  trie: built={} reused={}\n",
+            "  kernel={}  joins: wcoj={} binary={}  rules: fused={} env={}",
             c.kernel(),
             c.wcoj_joins,
             c.binary_joins,
             c.fused_rules,
             c.env_rules,
-            c.index_builds,
-            c.index_reuses,
-            c.trie_builds,
-            c.trie_reuses,
         ));
+        // Which of two concurrent strata builds a shared view is a race;
+        // how many lookups each makes is not.
+        if timings {
+            out.push_str(&format!(
+                "  index: built={} reused={}  trie: built={} reused={}\n",
+                c.index_builds, c.index_reuses, c.trie_builds, c.trie_reuses,
+            ));
+        } else {
+            out.push_str(&format!(
+                "  index: lookups={}  trie: lookups={}\n",
+                c.index_builds + c.index_reuses,
+                c.trie_builds + c.trie_reuses,
+            ));
+        }
     }
 }
 
@@ -490,8 +500,10 @@ mod tests {
         assert!(full.contains("delta-restarted"), "{full}");
         assert!(full.contains("kernel=wcoj"), "{full}");
         assert!(full.contains("delta-restarted  at=+0.3ms  wall=1.5ms"), "{full}");
+        assert!(full.contains("trie: built=0 reused=0"), "{full}");
         let explain = p.explain();
         assert!(!explain.contains("wall=") && !explain.contains("at="), "{explain}");
+        assert!(explain.contains("index: lookups=0  trie: lookups=0"), "{explain}");
         assert!(explain.contains("stratum 1  [Size]"), "{explain}");
         assert_eq!(p.totals().wcoj_joins, 4);
         assert_eq!(p.strata_wall(), Duration::from_micros(1500));

@@ -34,6 +34,7 @@ use rel_core::database::Delta;
 use rel_core::{Database, Name, RelError, RelResult, Relation, Tuple, Value};
 use rel_sema::ir::{ConstraintIr, Module, Rule};
 use rel_syntax::Program;
+use std::borrow::BorrowMut;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
@@ -111,9 +112,8 @@ pub struct TxnOutcome {
 /// snapshots, and reopening the directory recovers exactly the committed
 /// history (see [`crate::wal`], [`crate::snapshot`],
 /// [`crate::recovery`]). [`Session::new`] sessions — and *clones* of any
-/// session — are ephemeral. The `REL_DURABILITY` / `REL_FSYNC` switches
-/// are listed in the crate-level
-/// [environment-variable table](crate#environment-variables).
+/// session — are ephemeral. The `REL_FSYNC` switch is listed in the
+/// crate-level [environment-variable table](crate#environment-variables).
 #[derive(Debug)]
 pub struct Session {
     pub(crate) db: Database,
@@ -248,8 +248,6 @@ impl Session {
     /// The session **degrades gracefully** instead of failing when the
     /// environment, not the data, is the problem:
     ///
-    /// * `REL_DURABILITY=0/off/false/no` — returns a plain ephemeral
-    ///   session without touching disk;
     /// * the directory cannot be created or read — returns an empty
     ///   ephemeral session with a one-time warning on stderr;
     /// * the store recovers but cannot be opened for appending (e.g. a
@@ -263,9 +261,6 @@ impl Session {
     /// database. Transactions are the durable write path.
     pub fn open_with(path: impl AsRef<Path>, cfg: EngineConfig) -> RelResult<Session> {
         let dir = path.as_ref();
-        if !crate::config::env().durable {
-            return Ok(Session::with_config(Database::new(), cfg));
-        }
         if let Err(e) = std::fs::create_dir_all(dir) {
             durability::warn_degraded(&format!(
                 "cannot create durable store at {} ({e}); continuing ephemeral — \
@@ -661,24 +656,25 @@ impl Session {
         self.read_output_profiled(src, || Ok((self.compiled_query(src)?, self.db.clone())))
     }
 
-    /// The one read path of [`Session::query`] and
-    /// [`crate::Prepared::execute_with`]: `input` compiles or binds the
-    /// query (its module and the database it reads), and the `output`
-    /// relation comes back, with `query_us` recorded. Only an armed
-    /// slow-query log ([`metrics::slow_query_ms`]) runs it under a profile
-    /// sink, so that a crossing logs *what the query did*; unarmed, it
-    /// pays for no sink, session clone or module-cache lookup.
-    pub(crate) fn read_output<C: Deref<Target = Compiled>>(
+    /// The one read path of [`Session::query`],
+    /// [`crate::Prepared::execute_with`] and each binding of
+    /// [`crate::Prepared::execute_many`]: `input` compiles or binds the
+    /// query (its module and the database it reads, owned or borrowed),
+    /// and the `output` relation comes back, with `query_us` recorded.
+    /// Only an armed slow-query log ([`metrics::slow_query_ms`]) runs it
+    /// under a profile sink, so that a crossing logs *what the query did*;
+    /// unarmed, it pays for no sink, session clone or module-cache lookup.
+    pub(crate) fn read_output<C: Deref<Target = Compiled>, D: BorrowMut<Database>>(
         &self,
         src: &str,
-        input: impl FnOnce() -> RelResult<(C, Database)>,
+        input: impl FnOnce() -> RelResult<(C, D)>,
     ) -> RelResult<Relation> {
         if metrics::slow_query_ms().is_some() {
             return self.read_output_profiled(src, input).map(|(out, _)| out);
         }
         let start = metrics::enabled().then(std::time::Instant::now);
         let (compiled, mut db) = input()?;
-        let (rels, _) = self.read(&compiled, &mut db)?;
+        let (rels, _) = self.read(&compiled, db.borrow_mut())?;
         if let Some(start) = start {
             metrics::registry().query_us.record(start.elapsed());
         }
@@ -690,10 +686,10 @@ impl Session {
     /// tries and every other cache, but no other evaluation ticks the
     /// sink), and its [`QueryProfile`] comes back with the `output`
     /// relation. Records query latency and feeds the slow-query log.
-    pub(crate) fn read_output_profiled<C: Deref<Target = Compiled>>(
+    pub(crate) fn read_output_profiled<C: Deref<Target = Compiled>, D: BorrowMut<Database>>(
         &self,
         src: &str,
-        input: impl FnOnce() -> RelResult<(C, Database)>,
+        input: impl FnOnce() -> RelResult<(C, D)>,
     ) -> RelResult<(Relation, QueryProfile)> {
         let start = std::time::Instant::now();
         let module_cache_hit = self.module_cached(src);
@@ -701,7 +697,7 @@ impl Session {
         let sink = Arc::new(ProfileSink::new());
         let mut profiled = self.clone();
         profiled.index_cache = self.index_cache.profiled(Arc::clone(&sink));
-        let result = profiled.read(&compiled, &mut db);
+        let result = profiled.read(&compiled, db.borrow_mut());
         // Keep the library state the read advanced, as an unprofiled read does.
         *write(&self.library_state) = profiled.stored_library_state();
         let (rels, fixpoint) = result?;

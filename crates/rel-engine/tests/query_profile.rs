@@ -231,6 +231,24 @@ fn profiled_independent_strata_explain_stably_in_stratum_order() {
 }
 
 #[test]
+fn profiled_strata_sharing_an_input_explain_stably() {
+    // Two closures over the same `E1`: the scheduler may run them at once,
+    // and both look up `E1`'s tries, so which one builds a trie and which
+    // reuses it is a race. `explain()` reports the lookups, which are not.
+    let src = "def TC1(x, y) : E1(x, y)\n\
+               def TC1(x, y) : exists((z) | TC1(x, z) and E1(z, y))\n\
+               def TC2(x, y) : E1(x, y)\n\
+               def TC2(x, y) : exists((z) | TC2(x, z) and E1(z, y))\n\
+               def output(x, y) : TC1(x, y) and TC2(x, y)";
+    let mut db = Database::new();
+    db.set("E1", Relation::from_tuples((0..40i64).map(|i| tuple![i, i + 1])));
+    let explains: std::collections::BTreeSet<String> = (0..20)
+        .map(|_| Session::new(db.clone()).query_profiled(src).unwrap().1.explain())
+        .collect();
+    assert_eq!(explains.len(), 1, "explain() moved between runs: {explains:#?}");
+}
+
+#[test]
 fn a_profile_lists_only_the_strata_its_own_evaluation_ran() {
     // A profiled recursive query on `E` while a clone of the session
     // evaluates unprofiled recursive queries over `F` on another thread.

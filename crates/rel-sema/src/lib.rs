@@ -10,7 +10,10 @@
 //!    normal form with numbered variables;
 //! 3. **Safety analysis** ([`safety`]) — mode-based range-restriction
 //!    checking over infinite built-ins (§3.1–3.2; ref. 28), assigning each
-//!    predicate a bottom-up or demand-driven evaluation mode;
+//!    predicate a bottom-up or demand-driven evaluation mode. Its
+//!    per-conjunct check ([`safety::formula_binds`],
+//!    [`safety::expr_binds`]) is also what the engine's planner calls to
+//!    pick a runnable conjunct, so the two cannot disagree;
 //! 4. **Stratification** ([`strata`]) — SCC condensation of the dependency
 //!    graph, marking each stratum monotone (semi-naive) or non-monotone
 //!    (partial fixpoint, for the non-stratified programs Rel permits).

@@ -5,13 +5,18 @@
 //! every variable from finite sources or mode outputs rooted in finite
 //! sources.
 //!
-//! The analysis is an abstract interpretation of the engine's greedy
-//! planner over *sets of bound variables*. A central notion is **open
-//! evaluation**: a relation-valued expression may ground its own free
-//! variables from its internal structure — e.g. the aggregation input
-//! `min[(j): exists((z) | E(x,z) ∧ APSP(z,y,j-1))]` grounds the group
-//! variables `x, y` from `E` and `APSP`. This is how grouped aggregation
-//! generates its groups.
+//! The analysis works over *sets of bound variables*: [`formula_binds`]
+//! and [`expr_binds`] answer whether a conjunct (or an expression) can run
+//! once a set of variables is bound, and which variables it binds. They
+//! are the one answer to that question: [`infer_modes`] asks it to find
+//! each predicate's mode, and the engine's greedy planner asks it, under
+//! the variables each batch of environments binds, to pick the next
+//! conjunct — so a rule accepted here is a rule the planner can schedule.
+//! A central notion is **open evaluation**: a relation-valued expression
+//! may ground its own free variables from its internal structure — e.g.
+//! the aggregation input `min[(j): exists((z) | E(x,z) ∧ APSP(z,y,j-1))]`
+//! grounds the group variables `x, y` from `E` and `APSP`. This is how
+//! grouped aggregation generates its groups.
 //!
 //! The output is an [`EvalMode`] per predicate:
 //!
@@ -22,7 +27,8 @@
 //!   like `vector[d, i]` (needs `d`) or the digit-summing `addUp` of
 //!   Addendum A (needs its argument). This matches the paper's stance that
 //!   unsafe expressions "can be written and used in other queries" as long
-//!   as the context grounds them.
+//!   as the context grounds them — but only applied to a bound prefix: a
+//!   demand predicate used whole (`count[g]`) is not evaluable.
 //!
 //! Predicates with no safe mode at all are rejected, mirroring "the engine
 //! never attempts to evaluate an expression that could be unsafe".
@@ -73,26 +79,38 @@ pub fn infer_modes(rules: &BTreeMap<Name, Vec<Rule>>) -> RelResult<BTreeMap<Name
     Ok(modes)
 }
 
+/// Can the conjunct `f` run once the variables in `bound` are bound?
+/// `None` when it cannot; otherwise the variables it newly binds.
+/// `demand(p)` is the bound prefix a demand-driven predicate `p` needs,
+/// and `None` for every other relation.
+pub fn formula_binds(
+    f: &Formula,
+    bound: &BTreeSet<Var>,
+    demand: impl Fn(&Name) -> Option<usize>,
+) -> Option<BTreeSet<Var>> {
+    Cx { demand }.try_run(f, bound)
+}
+
+/// **Open evaluation** check: is the expression `e` evaluable under
+/// `bound`, and which of its free variables does it ground? `None` when
+/// unevaluable; `demand` as in [`formula_binds`].
+pub fn expr_binds(
+    e: &RExpr,
+    bound: &BTreeSet<Var>,
+    demand: impl Fn(&Name) -> Option<usize>,
+) -> Option<BTreeSet<Var>> {
+    Cx { demand }.expr_open(e, bound)
+}
+
 /// Smallest `k` such that binding the first `k` head parameters makes the
 /// rule safe, or `None` if no `k` works.
 fn minimal_prefix(rule: &Rule, modes: &BTreeMap<Name, EvalMode>) -> Option<usize> {
-    for k in 0..=rule.params.len() {
-        let mut bound = BTreeSet::new();
-        for p in rule.params.iter().take(k) {
-            if let Some(v) = p.var() {
-                bound.insert(v);
-            }
-        }
-        if rule_safe(rule, bound, modes) {
-            return Some(k);
-        }
-    }
-    None
-}
-
-/// Is the rule fully groundable starting from `bound`?
-fn rule_safe(rule: &Rule, bound: BTreeSet<Var>, modes: &BTreeMap<Name, EvalMode>) -> bool {
-    let cx = Cx { modes };
+    let cx = Cx {
+        demand: |p: &Name| match modes.get(p) {
+            Some(EvalMode::Demand { bound_prefix }) => Some(*bound_prefix),
+            _ => None,
+        },
+    };
     let mut gen: Vec<Formula> = Vec::new();
     for p in &rule.params {
         if let AbsParam::In(v, dom) = p {
@@ -100,83 +118,61 @@ fn rule_safe(rule: &Rule, bound: BTreeSet<Var>, modes: &BTreeMap<Name, EvalMode>
         }
     }
     let head_vars: BTreeSet<Var> = rule.params.iter().filter_map(AbsParam::var).collect();
-    cx.check_body(&rule.body, gen, bound, &head_vars)
+    (0..=rule.params.len()).find(|&k| {
+        let bound = rule.params.iter().take(k).filter_map(AbsParam::var).collect();
+        cx.check_body(&rule.body, gen.clone(), &bound, &head_vars)
+    })
 }
 
-struct Cx<'a> {
-    modes: &'a BTreeMap<Name, EvalMode>,
+struct Cx<D> {
+    demand: D,
 }
 
-impl Cx<'_> {
-    /// Check one rule/abstraction body given pre-collected generator
-    /// conjuncts. All `need` variables must end up bound, and the value
-    /// part must be (openly) evaluable.
+impl<D: Fn(&Name) -> Option<usize>> Cx<D> {
+    /// Check one rule body given pre-collected generator conjuncts. All
+    /// `need` variables must end up bound; each branch of a top-level
+    /// union is a rule of its own.
     fn check_body(
         &self,
         body: &RExpr,
-        mut gen: Vec<Formula>,
-        bound: BTreeSet<Var>,
+        gen: Vec<Formula>,
+        bound: &BTreeSet<Var>,
         need: &BTreeSet<Var>,
     ) -> bool {
-        match body {
-            RExpr::OfFormula(f) => {
-                gen.push((**f).clone());
-                match self.run_conj(&gen, bound) {
-                    Some(b) => need.iter().all(|v| b.contains(v)),
-                    None => false,
-                }
-            }
-            RExpr::Where { body: inner, cond } => {
-                gen.push((**cond).clone());
-                match self.run_conj(&gen, bound) {
-                    Some(b) => match self.expr_open(inner, &b) {
-                        Some(newly) => {
-                            let all: BTreeSet<Var> = b.union(&newly).copied().collect();
-                            need.iter().all(|v| all.contains(v))
-                        }
-                        None => false,
-                    },
-                    None => false,
-                }
-            }
-            RExpr::Union(branches) => branches
-                .iter()
-                .all(|br| self.check_body(br, gen.clone(), bound.clone(), need)),
-            other => match self.run_conj(&gen, bound) {
-                Some(b) => match self.expr_open(other, &b) {
-                    Some(newly) => {
-                        let all: BTreeSet<Var> = b.union(&newly).copied().collect();
-                        need.iter().all(|v| all.contains(v))
-                    }
-                    None => false,
-                },
-                None => false,
-            },
+        if let RExpr::Union(branches) = body {
+            return branches.iter().all(|br| self.check_body(br, gen.clone(), bound, need));
         }
+        self.body_binds(gen, body, bound)
+            .is_some_and(|newly| need.iter().all(|v| bound.contains(v) || newly.contains(v)))
     }
 
-    /// Greedy abstract scheduling of a conjunction. Returns the bound set
-    /// on success.
-    fn run_conj(&self, conjuncts: &[Formula], mut bound: BTreeSet<Var>) -> Option<BTreeSet<Var>> {
-        let mut pending: Vec<&Formula> = conjuncts.iter().collect();
-        flatten_pending(&mut pending);
-        while !pending.is_empty() {
-            let mut progressed = false;
-            let mut i = 0;
-            while i < pending.len() {
-                if let Some(newly) = self.try_run(pending[i], &bound) {
-                    bound.extend(newly);
-                    pending.remove(i);
-                    progressed = true;
-                } else {
-                    i += 1;
-                }
+    /// What a rule or abstraction body binds: the generator conjuncts
+    /// `gen` and the body's formula part scheduled as one conjunction,
+    /// then its value part (openly) evaluated.
+    fn body_binds(
+        &self,
+        mut gen: Vec<Formula>,
+        body: &RExpr,
+        bound: &BTreeSet<Var>,
+    ) -> Option<BTreeSet<Var>> {
+        let value = match body {
+            RExpr::OfFormula(f) => {
+                gen.push((**f).clone());
+                None
             }
-            if !progressed {
-                return None;
+            RExpr::Where { body: value, cond } => {
+                gen.push((**cond).clone());
+                Some(&**value)
             }
+            other => Some(other),
+        };
+        let mut newly = self.try_run(&Formula::conj(gen), bound)?;
+        if let Some(value) = value {
+            let mut b = bound.clone();
+            b.extend(newly.iter().copied());
+            newly.extend(self.expr_open(value, &b)?);
         }
-        Some(bound)
+        Some(newly)
     }
 
     /// Can this conjunct run under `bound`? Returns newly bound vars.
@@ -184,17 +180,36 @@ impl Cx<'_> {
         match f {
             Formula::True | Formula::False => Some(BTreeSet::new()),
             Formula::Conj(items) => {
-                let b = self.run_conj(items, bound.clone())?;
+                debug_assert!(
+                    !items.iter().any(|g| matches!(g, Formula::Conj(_))),
+                    "a Conj directly inside a Conj: build conjunctions with Formula::conj"
+                );
+                // Greedy: run whatever can run, until nothing is pending.
+                let mut b = bound.clone();
+                let mut pending: Vec<&Formula> = items.iter().collect();
+                while !pending.is_empty() {
+                    let before = pending.len();
+                    pending.retain(|g| match self.try_run(g, &b) {
+                        Some(n) => {
+                            b.extend(n);
+                            false
+                        }
+                        None => true,
+                    });
+                    if pending.len() == before {
+                        return None;
+                    }
+                }
                 Some(&b - bound)
             }
             Formula::Disj(branches) => {
+                // Only what every branch binds is bound afterwards.
                 let mut common: Option<BTreeSet<Var>> = None;
                 for br in branches {
-                    let b = self.run_conj(std::slice::from_ref(br), bound.clone())?;
-                    let newly = &b - bound;
+                    let n = self.try_run(br, bound)?;
                     common = Some(match common {
-                        None => newly,
-                        Some(c) => &c & &newly,
+                        None => n,
+                        Some(c) => &c & &n,
                     });
                 }
                 Some(common.unwrap_or_default())
@@ -210,27 +225,23 @@ impl Cx<'_> {
                 self.expr_open(rel, bound)?;
                 Some(new_vars_of(args, bound))
             }
-            Formula::Member { term, of } => {
-                match &**of {
-                    RExpr::Pred(p) => {
-                        if let Some(b) = builtins::lookup(p) {
-                            // Infinite builtin as a domain: check-only
-                            // (type tests with the term already bound);
-                            // anything else cannot be enumerated.
-                            return (b.type_test && term_bound(term, bound))
-                                .then(BTreeSet::new);
-                        }
-                        // Finite relation: generates.
-                        Some(new_vars_of(std::slice::from_ref(term), bound))
+            Formula::Member { term, of } => match &**of {
+                RExpr::Pred(p) => {
+                    if let Some(b) = builtins::lookup(p) {
+                        // Infinite builtin as a domain: check-only (type
+                        // tests with the term already bound); anything
+                        // else cannot be enumerated.
+                        return (b.type_test && term_bound(term, bound)).then(BTreeSet::new);
                     }
-                    other => {
-                        let newly = self.expr_open(other, bound)?;
-                        let mut out = newly;
-                        out.extend(new_vars_of(std::slice::from_ref(term), bound));
-                        Some(out)
-                    }
+                    // Finite relation: generates.
+                    Some(new_vars_of(std::slice::from_ref(term), bound))
                 }
-            }
+                other => {
+                    let mut out = self.expr_open(other, bound)?;
+                    out.extend(new_vars_of(std::slice::from_ref(term), bound));
+                    Some(out)
+                }
+            },
             Formula::Cmp { op, lhs, rhs } => {
                 let l_open = self.expr_open(lhs, bound);
                 let r_open = self.expr_open(rhs, bound);
@@ -258,16 +269,14 @@ impl Cx<'_> {
                 }
             }
             Formula::Exists { vars, tuple_vars, body, .. } => {
-                let inner = self.run_conj(std::slice::from_ref(&**body), bound.clone())?;
                 // All quantified variables must be grounded inside the
                 // scope, otherwise the existential ranges over an infinite
-                // universe.
-                if !vars.iter().chain(tuple_vars).all(|v| inner.contains(v)) {
-                    return None;
-                }
-                let mut newly = &inner - bound;
+                // universe; they do not bind outside it.
+                let mut newly = self.try_run(body, bound)?;
                 for v in vars.iter().chain(tuple_vars) {
-                    newly.remove(v);
+                    if !newly.remove(v) && !bound.contains(v) {
+                        return None;
+                    }
                 }
                 Some(newly)
             }
@@ -316,43 +325,35 @@ impl Cx<'_> {
             }
             return None;
         }
-        match self.modes.get(pred) {
-            Some(EvalMode::Demand { bound_prefix }) => {
+        match (self.demand)(pred) {
+            Some(k) => {
                 if args.iter().any(|t| matches!(t, Term::TupleVar(_))) {
-                    // Tuple-variable args over a demand predicate: only a
-                    // fully-bound filter is supported.
+                    // Tuple-variable args can't be aligned with the bound
+                    // prefix statically: only a fully-bound filter runs.
                     return args
                         .iter()
                         .all(|t| term_bound(t, bound))
                         .then(BTreeSet::new);
                 }
-                if args.len() < *bound_prefix {
+                if args.len() < k || !args.iter().take(k).all(|t| term_bound(t, bound)) {
                     return None;
                 }
-                if !args.iter().take(*bound_prefix).all(|t| term_bound(t, bound)) {
-                    return None;
-                }
-                Some(new_vars_of(&args[*bound_prefix..], bound))
+                Some(new_vars_of(&args[k..], bound))
             }
             // Materialized IDB or EDB (unknown names are empty EDBs):
             // binds everything.
-            _ => Some(new_vars_of(args, bound)),
+            None => Some(new_vars_of(args, bound)),
         }
     }
 
-    /// **Open evaluation** check: is this expression evaluable under
-    /// `bound`, and which of its free variables does it ground? Returns
-    /// `None` when unevaluable.
+    /// See [`expr_binds`].
     fn expr_open(&self, e: &RExpr, bound: &BTreeSet<Var>) -> Option<BTreeSet<Var>> {
         match e {
-            // A bare builtin is an infinite relation and cannot be
-            // materialized; finite EDB/IDB relations are fine.
+            // A bare builtin is an infinite relation, and a demand
+            // predicate needs its bound prefix: neither can be used whole.
+            // Finite EDB/IDB relations are fine.
             RExpr::Pred(p) => {
-                if builtins::lookup(p).is_some() {
-                    None
-                } else {
-                    Some(BTreeSet::new())
-                }
+                (builtins::lookup(p).is_none() && (self.demand)(p).is_none()).then(BTreeSet::new)
             }
             RExpr::PApp { pred, args } => self.atom_newly(pred, args, bound),
             RExpr::DynPApp { rel, args } => {
@@ -366,18 +367,15 @@ impl Cx<'_> {
                 let mut b = bound.clone();
                 let mut pending: Vec<&RExpr> = es.iter().collect();
                 while !pending.is_empty() {
-                    let mut progressed = false;
-                    let mut i = 0;
-                    while i < pending.len() {
-                        if let Some(n) = self.expr_open(pending[i], &b) {
+                    let before = pending.len();
+                    pending.retain(|x| match self.expr_open(x, &b) {
+                        Some(n) => {
                             b.extend(n);
-                            pending.remove(i);
-                            progressed = true;
-                        } else {
-                            i += 1;
+                            false
                         }
-                    }
-                    if !progressed {
+                        None => true,
+                    });
+                    if pending.len() == before {
                         return None;
                     }
                 }
@@ -394,19 +392,13 @@ impl Cx<'_> {
                 }
                 Some(common.unwrap_or_default())
             }
-            RExpr::Singleton(ts) => {
-                if ts.iter().all(|t| term_bound(t, bound)) {
-                    Some(BTreeSet::new())
-                } else {
-                    None
-                }
-            }
+            RExpr::Singleton(ts) => ts.iter().all(|t| term_bound(t, bound)).then(BTreeSet::new),
             RExpr::Where { body, cond } => {
-                let b = self.run_conj(std::slice::from_ref(&**cond), bound.clone())?;
-                let n = self.expr_open(body, &b)?;
-                let mut out = &b - bound;
-                out.extend(n);
-                Some(out)
+                let mut newly = self.try_run(cond, bound)?;
+                let mut b = bound.clone();
+                b.extend(newly.iter().copied());
+                newly.extend(self.expr_open(body, &b)?);
+                Some(newly)
             }
             RExpr::Abstract { params, body, .. } => {
                 // A mini-rule: domains + the body's generating part must
@@ -418,31 +410,11 @@ impl Cx<'_> {
                         members.push(Formula::Member { term: Term::Var(*v), of: dom.clone() });
                     }
                 }
-                let param_vars: BTreeSet<Var> =
-                    params.iter().filter_map(AbsParam::var).collect();
-                let inner_bound = match &**body {
-                    RExpr::OfFormula(f) => {
-                        members.push((**f).clone());
-                        self.run_conj(&members, bound.clone())?
+                let mut newly = self.body_binds(members, body, bound)?;
+                for v in params.iter().filter_map(AbsParam::var) {
+                    if !newly.remove(&v) && !bound.contains(&v) {
+                        return None;
                     }
-                    RExpr::Where { body: vb, cond } => {
-                        members.push((**cond).clone());
-                        let b = self.run_conj(&members, bound.clone())?;
-                        let n = self.expr_open(vb, &b)?;
-                        b.union(&n).copied().collect()
-                    }
-                    other => {
-                        let b = self.run_conj(&members, bound.clone())?;
-                        let n = self.expr_open(other, &b)?;
-                        b.union(&n).copied().collect()
-                    }
-                };
-                if !param_vars.iter().all(|v| inner_bound.contains(v)) {
-                    return None;
-                }
-                let mut newly = &inner_bound - bound;
-                for v in &param_vars {
-                    newly.remove(v);
                 }
                 Some(newly)
             }
@@ -487,21 +459,6 @@ fn new_vars_of(ts: &[Term], bound: &BTreeSet<Var>) -> BTreeSet<Var> {
             _ => None,
         })
         .collect()
-}
-
-fn flatten_pending(pending: &mut Vec<&Formula>) {
-    let mut i = 0;
-    while i < pending.len() {
-        if let Formula::Conj(items) = pending[i] {
-            let rest: Vec<&Formula> = items.iter().collect();
-            pending.remove(i);
-            for (j, it) in rest.into_iter().enumerate() {
-                pending.insert(i + j, it);
-            }
-        } else {
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -647,6 +604,26 @@ mod tests {
         .unwrap();
         assert_eq!(m[&rel_core::name("g")], EvalMode::Demand { bound_prefix: 1 });
         assert_eq!(m[&rel_core::name("f")], EvalMode::Materialize);
+    }
+
+    #[test]
+    fn bare_demand_relation_is_not_evaluable() {
+        // `g` needs its argument bound; `count[g]` would use it whole.
+        let err = modes_of(
+            "def count[{A}] : reduce[add, (A, 1)]\n\
+             def g[x] : x + 1\n\
+             def output : count[g]",
+        )
+        .unwrap_err();
+        assert!(matches!(err, RelError::Unsafe(_)), "{err}");
+    }
+
+    #[test]
+    fn disjunction_binds_only_common_variables() {
+        // Each branch binds one head variable and neither binds both, so
+        // only a caller binding both can evaluate `F`.
+        let m = modes_of("def F(x, y) : R(x) or S(y)").unwrap();
+        assert_eq!(m[&rel_core::name("F")], EvalMode::Demand { bound_prefix: 2 });
     }
 
     #[test]

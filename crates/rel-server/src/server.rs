@@ -62,7 +62,7 @@ use crate::protocol::{
 };
 use rel_core::{RelError, RelResult, Tuple};
 use rel_engine::metrics::{self, Counter, Histogram};
-use rel_engine::{Params, Prepared, Session, TxnOutcome, Watch};
+use rel_engine::{Params, Prepared, Session, Transaction, TxnOutcome, Watch};
 use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -320,8 +320,13 @@ fn wire_outcome(o: TxnOutcome) -> Outcome {
     Outcome { output: o.output, inserted: o.inserted as u64, deleted: o.deleted as u64 }
 }
 
-/// Replay a step log inside one transaction on `session` and commit it.
-fn apply_steps(session: &mut Session, steps: &[Step]) -> RelResult<TxnOutcome> {
+/// Replay a transaction's step log inside one new transaction on
+/// `session` and return it still open, with the response for the *last*
+/// step: the commit worker commits it on the authoritative session, and a
+/// connection aborts it after checking a step against its begin-time
+/// snapshot. Quadratic in the step count across a transaction's life —
+/// fine for interactive use, and the commit-time replay runs once.
+fn replay<'s>(session: &'s mut Session, steps: &[Step]) -> RelResult<(Transaction<'s>, Response)> {
     // Prepared steps are re-compiled by source — a module-cache hit,
     // since the connection compiled the same source at prepare time and
     // all sessions share the cache.
@@ -333,26 +338,27 @@ fn apply_steps(session: &mut Session, steps: &[Step]) -> RelResult<TxnOutcome> {
         });
     }
     let mut txn = session.begin();
+    let mut last = Response::Done;
     for (step, prep) in steps.iter().zip(&prepared) {
-        match step {
-            Step::Run { src } => {
-                txn.run(src)?;
-            }
+        last = match step {
+            Step::Run { src } => Response::Rows(txn.run(src)?),
             Step::RunPrepared { params, .. } => {
-                txn.run_prepared(prep.as_ref().expect("prepared above"), params)?;
+                Response::Rows(txn.run_prepared(prep.as_ref().expect("prepared above"), params)?)
             }
             Step::Stage { rel, deletes, tuples } => {
+                let mut changed = 0u64;
                 for t in tuples {
-                    if *deletes {
-                        txn.stage_delete(rel, t);
+                    changed += u64::from(if *deletes {
+                        txn.stage_delete(rel, t)
                     } else {
-                        txn.stage_insert(rel, t.clone());
-                    }
+                        txn.stage_insert(rel, t.clone())
+                    });
                 }
+                Response::Staged { changed }
             }
-        }
+        };
     }
-    txn.commit()
+    Ok((txn, last))
 }
 
 /// One live subscription: the engine-side watch handle (registered on
@@ -373,7 +379,8 @@ fn apply_job(
         CommitWork::Transact { src } => {
             session.transact(src).map(|o| Response::Committed(wire_outcome(o))).map_err(query_reply)
         }
-        CommitWork::Steps(steps) => apply_steps(session, steps)
+        CommitWork::Steps(steps) => replay(session, steps)
+            .and_then(|(txn, _)| txn.commit())
             .map(|o| Response::Committed(wire_outcome(o)))
             .map_err(query_reply),
         CommitWork::Subscribe { src, params, writer } => {
@@ -575,58 +582,22 @@ fn wire_to_params(pairs: WireParams) -> Params {
     pairs.into_iter().fold(Params::new(), |p, (name, rel)| p.set_rel(&name, rel))
 }
 
-/// Re-execute a transaction's step log on its begin-time snapshot and
-/// return the response for the *last* step. Quadratic in the step count
-/// across a transaction's life — fine for interactive use, and the
-/// commit-time replay on the authoritative session runs once.
-fn replay(state: &mut TxnState) -> Result<Response, ErrorReply> {
-    let TxnState { base, steps } = state;
-    let mut prepared = Vec::with_capacity(steps.len());
-    for step in steps.iter() {
-        prepared.push(match step {
-            Step::RunPrepared { src, .. } => Some(base.prepare(src).map_err(query_reply)?),
-            _ => None,
-        });
-    }
-    let mut txn = base.begin();
-    let mut last = Response::Done;
-    for (step, prep) in steps.iter().zip(&prepared) {
-        last = match step {
-            Step::Run { src } => Response::Rows(txn.run(src).map_err(query_reply)?),
-            Step::RunPrepared { params, .. } => Response::Rows(
-                txn.run_prepared(prep.as_ref().expect("prepared above"), params)
-                    .map_err(query_reply)?,
-            ),
-            Step::Stage { rel, deletes, tuples } => {
-                let mut changed = 0u64;
-                for t in tuples {
-                    changed += u64::from(if *deletes {
-                        txn.stage_delete(rel, t)
-                    } else {
-                        txn.stage_insert(rel, t.clone())
-                    });
-                }
-                Response::Staged { changed }
-            }
-        };
-    }
-    txn.abort();
-    Ok(last)
-}
-
 fn txn_step(ctx: &mut ConnCtx, txn: u32, step: Step) -> Response {
     let Some(state) = ctx.txns.get_mut(&txn) else {
         return err(ErrorKind::UnknownTxn, format!("no open transaction {txn}"));
     };
     state.steps.push(step);
-    match replay(state) {
-        Ok(resp) => resp,
+    match replay(&mut state.base, &state.steps) {
+        Ok((txn, resp)) => {
+            txn.abort();
+            resp
+        }
         Err(e) => {
             // Only the newly added step can fail (the prefix replayed
             // cleanly when each of its steps was added); drop it so the
             // transaction stays usable.
             state.steps.pop();
-            Response::Error(e)
+            Response::Error(query_reply(e))
         }
     }
 }

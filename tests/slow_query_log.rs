@@ -68,3 +68,17 @@ fn a_logged_prepared_execute_is_counted() {
     let logged = metrics::registry().slow_queries.get() - slow;
     assert_eq!(logged, 1, "the prepared execute crossed a 0 ms threshold once");
 }
+
+#[test]
+fn a_logged_execute_many_counts_every_binding() {
+    let _serial = armed();
+    let s = session();
+    let q = s.prepare("def output(x, y) : E1(x, y) and x = ?from").unwrap();
+    let r = metrics::registry();
+    let (slow, samples) = (r.slow_queries.get(), r.query_us.snapshot().count);
+    let batches: Vec<Params> = (0..5i64).map(|i| Params::new().set("from", i)).collect();
+    let outs = q.execute_many(&s, &batches).unwrap();
+    assert!(outs.iter().all(|rows| rows.len() == 1), "one edge from each start: {outs:?}");
+    assert_eq!(r.slow_queries.get() - slow, 5, "each binding crossed a 0 ms threshold once");
+    assert_eq!(r.query_us.snapshot().count - samples, 5, "one query_us sample per binding");
+}
