@@ -28,7 +28,7 @@ use crate::metrics;
 use crate::profile::ProfileSink;
 use rel_core::{Name, RelError, RelResult, Relation, Tuple, Value};
 use rel_sema::builtins as bsig;
-use rel_sema::ir::{AbsParam, Atom, EvalMode, Formula, Module, RExpr, Rule, Term, Var};
+use rel_sema::ir::{AbsParam, Atom, EvalMode, Formula, Module, Node, RExpr, Rule, Term, Var};
 use rel_sema::safety;
 use rel_syntax::ast::CmpOp;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -1541,30 +1541,16 @@ impl<'a> EvalCtx<'a> {
                         }
                     }
                 }
-                (false, true) if op == CmpOp::Eq => {
-                    let RExpr::Singleton(ts) = lhs else {
+                // `=` with one side evaluable binds the other side's single
+                // term to each value the evaluable side produces.
+                (false, true) | (true, false) if op == CmpOp::Eq => {
+                    let (single, src) = if l_ok { (rhs, lhs) } else { (lhs, rhs) };
+                    let RExpr::Singleton(ts) = single else {
                         return Err(stuck_cmp());
                     };
                     let [t] = ts.as_slice() else { return Err(stuck_cmp()) };
-                    for (env1, r) in self.eval_open(rhs, &env)? {
+                    for (env1, r) in self.eval_open(src, &env)? {
                         for tup in r.iter() {
-                            if tup.arity() == 1 {
-                                if let Some(env2) =
-                                    unify_values(std::slice::from_ref(t), tup.values(), &env1)
-                                {
-                                    out.push(env2);
-                                }
-                            }
-                        }
-                    }
-                }
-                (true, false) if op == CmpOp::Eq => {
-                    let RExpr::Singleton(ts) = rhs else {
-                        return Err(stuck_cmp());
-                    };
-                    let [t] = ts.as_slice() else { return Err(stuck_cmp()) };
-                    for (env1, l) in self.eval_open(lhs, &env)? {
-                        for tup in l.iter() {
                             if tup.arity() == 1 {
                                 if let Some(env2) =
                                     unify_values(std::slice::from_ref(t), tup.values(), &env1)
@@ -2095,92 +2081,44 @@ fn env_bound(env: &Env) -> BTreeSet<Var> {
 /// All variable references in a formula (conservative, including nested
 /// scopes).
 fn formula_refs(f: &Formula, out: &mut BTreeSet<Var>) {
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Conj(items) | Formula::Disj(items) => {
-            for i in items {
-                formula_refs(i, out);
-            }
-        }
-        Formula::Not(inner) => formula_refs(inner, out),
-        Formula::Atom(a) => term_refs(&a.args, out),
-        Formula::DynAtom { rel, args } => {
-            rexpr_refs(rel, out);
-            term_refs(args, out);
-        }
-        Formula::Cmp { lhs, rhs, .. } => {
-            rexpr_refs(lhs, out);
-            rexpr_refs(rhs, out);
-        }
-        Formula::Member { term, of } => {
-            term_refs(std::slice::from_ref(term), out);
-            rexpr_refs(of, out);
-        }
-        Formula::Exists { body, intro, .. } => {
-            let mut inner = BTreeSet::new();
-            formula_refs(body, &mut inner);
-            out.extend(inner.into_iter().filter(|v| *v < intro.0 || *v >= intro.1));
-        }
-        Formula::OfExpr(e) => rexpr_refs(e, out),
-    }
+    node_refs(Node::Formula(f), out)
 }
 
-fn rexpr_refs(e: &RExpr, out: &mut BTreeSet<Var>) {
-    match e {
-        RExpr::Pred(_) => {}
-        RExpr::PApp { args, .. } => term_refs(args, out),
-        RExpr::DynPApp { rel, args } => {
-            rexpr_refs(rel, out);
-            term_refs(args, out);
+/// The variable references below `n`: terms are collected where they sit,
+/// and a scope (`exists`, an abstraction, a `reduce` input) contributes
+/// only the variables it does not introduce itself.
+fn node_refs(n: Node<'_>, out: &mut BTreeSet<Var>) {
+    let terms: &[Term] = match n {
+        Node::Formula(Formula::Exists { intro, .. })
+        | Node::RExpr(RExpr::Abstract { intro, .. }) => {
+            let body = |inner: &mut BTreeSet<Var>| n.for_each_child(&mut |c| node_refs(c, inner));
+            return scoped_refs(*intro, out, body);
         }
-        RExpr::Product(es) | RExpr::Union(es) => {
-            for x in es {
-                rexpr_refs(x, out);
-            }
+        Node::RExpr(RExpr::Reduce { op, input, intro }) => {
+            node_refs(Node::RExpr(op), out);
+            return scoped_refs(*intro, out, |inner| node_refs(Node::RExpr(input), inner));
         }
-        RExpr::Singleton(ts) => term_refs(ts, out),
-        RExpr::Where { body, cond } => {
-            rexpr_refs(body, out);
-            formula_refs(cond, out);
+        Node::Formula(Formula::Atom(Atom { args, .. }) | Formula::DynAtom { args, .. })
+        | Node::RExpr(
+            RExpr::PApp { args, .. } | RExpr::DynPApp { args, .. } | RExpr::Singleton(args),
+        ) => args,
+        Node::Formula(Formula::Member { term, .. }) => std::slice::from_ref(term),
+        _ => &[],
+    };
+    for t in terms {
+        if let Term::Var(v) | Term::TupleVar(v) = t {
+            out.insert(*v);
         }
-        RExpr::Abstract { params, body, intro } => {
-            let mut inner = BTreeSet::new();
-            for p in params {
-                if let AbsParam::In(_, dom) = p {
-                    rexpr_refs(dom, &mut inner);
-                }
-            }
-            rexpr_refs(body, &mut inner);
-            out.extend(inner.into_iter().filter(|v| *v < intro.0 || *v >= intro.1));
-        }
-        RExpr::Reduce { op, input, intro } => {
-            rexpr_refs(op, out);
-            let mut inner = BTreeSet::new();
-            rexpr_refs(input, &mut inner);
-            out.extend(inner.into_iter().filter(|v| *v < intro.0 || *v >= intro.1));
-        }
-        RExpr::BuiltinApp { args, .. } => {
-            for a in args {
-                rexpr_refs(a, out);
-            }
-        }
-        RExpr::DotJoin(a, b) | RExpr::LeftOverride(a, b) => {
-            rexpr_refs(a, out);
-            rexpr_refs(b, out);
-        }
-        RExpr::OfFormula(f) => formula_refs(f, out),
     }
+    n.for_each_child(&mut |c| node_refs(c, out));
 }
 
-fn term_refs(ts: &[Term], out: &mut BTreeSet<Var>) {
-    for t in ts {
-        match t {
-            Term::Var(v) | Term::TupleVar(v) => {
-                out.insert(*v);
-            }
-            Term::Const(_) => {}
-        }
-    }
+/// Add to `out` the references `fill` collects, minus the variables the
+/// scope introduces (`intro` is its variable-id range).
+fn scoped_refs(intro: (Var, Var), out: &mut BTreeSet<Var>, fill: impl FnOnce(&mut BTreeSet<Var>)) {
+    let mut inner = BTreeSet::new();
+    fill(&mut inner);
+    out.extend(inner.into_iter().filter(|v| *v < intro.0 || *v >= intro.1));
 }
 
 /// Unify tuple-variable-free terms against exactly matching values.

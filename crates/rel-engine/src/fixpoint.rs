@@ -4,7 +4,10 @@
 //! * Recursive **monotone** strata: semi-naive evaluation — per iteration,
 //!   each rule is evaluated once per occurrence of an SCC predicate, with
 //!   that occurrence reading the Δ relation (new/full formulation; set
-//!   semantics deduplicates the overlap). Δ overlays live in the ordinary
+//!   semantics deduplicates the overlap). Occurrences are counted and
+//!   rewritten in the order of rel-sema's IR child visitors
+//!   ([`rel_sema::ir::Node::for_each_child`] and its mutable twin), so
+//!   the count and the rewrite agree by construction. Δ overlays live in the ordinary
 //!   relation map, so `eval_conj`'s WCOJ planner treats a Δ-focused atom
 //!   like any other materialized atom — recursive strata route through
 //!   the leapfrog kernel too (see [`crate::eval::WCOJ_MIN_ATOMS`]).
@@ -41,7 +44,9 @@ use crate::env::Env;
 use crate::eval::{EvalCtx, SharedIndexCache};
 use crate::profile::{record_stratum, StratumAction};
 use rel_core::{Database, Name, RelError, RelResult, Relation};
-use rel_sema::ir::{AbsParam, EvalMode, Formula, Module, RExpr, Rule, Stratum};
+use rel_sema::ir::{
+    visit_rule_preds, AbsParam, Atom, EvalMode, Formula, Module, NodeMut, RExpr, Rule, Stratum,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Condvar, Mutex};
 
@@ -529,7 +534,7 @@ fn converged(prev: &BTreeMap<Name, Relation>, next: &BTreeMap<Name, Relation>) -
 /// clone of the rule.
 pub fn count_scc_refs(rule: &Rule, scc: &BTreeSet<&Name>) -> usize {
     let mut n = 0;
-    visit_rule(rule, &mut |p| {
+    visit_rule_preds(rule, &mut |p| {
         if scc.contains(p) {
             n += 1;
         }
@@ -537,102 +542,40 @@ pub fn count_scc_refs(rule: &Rule, scc: &BTreeSet<&Name>) -> usize {
     n
 }
 
-/// Apply `f` to every predicate reference in the rule, read-only, in the
-/// same traversal order as the internal `map_rule` rewriter. Delegates to
-/// the shared IR visitor ([`rel_sema::ir::visit_rule_preds`]) — one
-/// traversal serves dependency analysis here and parameter collection in
-/// `rel-sema`.
-pub fn visit_rule(rule: &Rule, f: &mut impl FnMut(&Name)) {
-    rel_sema::ir::visit_rule_preds(rule, f);
-}
-
 /// Produce the rule variant whose `focus`-th SCC reference reads the Δ
-/// relation.
+/// relation. References are numbered in [`visit_rule_preds`] order, the
+/// order [`count_scc_refs`] counts them in: both walks hand every node to
+/// the IR's child visitors, which list children in one order.
 pub fn delta_variant(rule: &Rule, scc: &BTreeSet<&Name>, focus: usize) -> Rule {
     let mut out = rule.clone();
     let mut i = 0;
-    map_rule(&mut out, &mut |p| {
-        if scc.contains(p) {
-            let name = if i == focus { delta_name(p) } else { p.clone() };
+    rename_preds(&mut out, &mut |p| {
+        if scc.contains(&*p) {
+            if i == focus {
+                *p = delta_name(p);
+            }
             i += 1;
-            name
-        } else {
-            p.clone()
         }
     });
     out
 }
 
-/// Apply `f` to every predicate reference in the rule, in a fixed
-/// traversal order.
-fn map_rule(rule: &mut Rule, f: &mut impl FnMut(&Name) -> Name) {
+/// Apply `f` to every predicate reference in the rule, in
+/// [`visit_rule_preds`] order.
+fn rename_preds(rule: &mut Rule, f: &mut impl FnMut(&mut Name)) {
+    fn go(n: NodeMut<'_>, f: &mut impl FnMut(&mut Name)) {
+        match n {
+            NodeMut::Formula(Formula::Atom(Atom { pred, .. }))
+            | NodeMut::RExpr(RExpr::Pred(pred) | RExpr::PApp { pred, .. }) => f(pred),
+            n => n.for_each_child(&mut |c| go(c, f)),
+        }
+    }
     for p in &mut rule.params {
         if let AbsParam::In(_, dom) = p {
-            map_rexpr(dom, f);
+            go(NodeMut::RExpr(dom), f);
         }
     }
-    map_rexpr(&mut rule.body, f);
-}
-
-fn map_formula(x: &mut Formula, f: &mut impl FnMut(&Name) -> Name) {
-    match x {
-        Formula::True | Formula::False => {}
-        Formula::Conj(items) | Formula::Disj(items) => {
-            for i in items {
-                map_formula(i, f);
-            }
-        }
-        Formula::Not(inner) => map_formula(inner, f),
-        Formula::Atom(a) => a.pred = f(&a.pred),
-        Formula::DynAtom { rel, .. } => map_rexpr(rel, f),
-        Formula::Cmp { lhs, rhs, .. } => {
-            map_rexpr(lhs, f);
-            map_rexpr(rhs, f);
-        }
-        Formula::Member { of, .. } => map_rexpr(of, f),
-        Formula::Exists { body, .. } => map_formula(body, f),
-        Formula::OfExpr(e) => map_rexpr(e, f),
-    }
-}
-
-fn map_rexpr(x: &mut RExpr, f: &mut impl FnMut(&Name) -> Name) {
-    match x {
-        RExpr::Pred(p) => *p = f(p),
-        RExpr::PApp { pred, .. } => *pred = f(pred),
-        RExpr::DynPApp { rel, .. } => map_rexpr(rel, f),
-        RExpr::Product(es) | RExpr::Union(es) => {
-            for e in es {
-                map_rexpr(e, f);
-            }
-        }
-        RExpr::Singleton(_) => {}
-        RExpr::Where { body, cond } => {
-            map_rexpr(body, f);
-            map_formula(cond, f);
-        }
-        RExpr::Abstract { params, body, .. } => {
-            for p in params.iter_mut() {
-                if let AbsParam::In(_, dom) = p {
-                    map_rexpr(dom, f);
-                }
-            }
-            map_rexpr(body, f);
-        }
-        RExpr::Reduce { op, input, .. } => {
-            map_rexpr(op, f);
-            map_rexpr(input, f);
-        }
-        RExpr::BuiltinApp { args, .. } => {
-            for a in args {
-                map_rexpr(a, f);
-            }
-        }
-        RExpr::DotJoin(a, b) | RExpr::LeftOverride(a, b) => {
-            map_rexpr(a, f);
-            map_rexpr(b, f);
-        }
-        RExpr::OfFormula(inner) => map_formula(inner, f),
-    }
+    go(NodeMut::RExpr(&mut rule.body), f);
 }
 
 #[cfg(test)]
@@ -731,7 +674,7 @@ mod tests {
         assert_ne!(v0, v1);
         let refs = |r: &Rule| {
             let mut names = Vec::new();
-            visit_rule(r, &mut |p| names.push(p.to_string()));
+            visit_rule_preds(r, &mut |p| names.push(p.to_string()));
             names
         };
         assert!(refs(&v0).contains(&"ΔTC".to_string()));
@@ -739,7 +682,7 @@ mod tests {
     }
 
     #[test]
-    fn visit_rule_matches_map_rule_order() {
+    fn visit_rule_preds_matches_rename_preds_order() {
         let module = rel_sema::compile(
             "def P(x,y) : exists((z) | E(x,z) and (Q(z,y) or not R(z)) \
              and S[z](y))",
@@ -747,12 +690,9 @@ mod tests {
         .unwrap();
         for rule in module.rules.values().flatten() {
             let mut visited = Vec::new();
-            visit_rule(rule, &mut |p| visited.push(p.clone()));
+            visit_rule_preds(rule, &mut |p| visited.push(p.clone()));
             let mut mapped = Vec::new();
-            map_rule(&mut rule.clone(), &mut |p| {
-                mapped.push(p.clone());
-                p.clone()
-            });
+            rename_preds(&mut rule.clone(), &mut |p| mapped.push(p.clone()));
             assert_eq!(visited, mapped, "traversal orders diverged");
         }
     }

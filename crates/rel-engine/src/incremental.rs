@@ -2,7 +2,7 @@
 //!
 //! The paper's system maintains derived relations under base-relation
 //! change instead of recomputing them (§6). Here that is one function,
-//! [`materialize_incremental`]: given the **pre-state fixpoint** of a
+//! [`materialize_incremental_with_stats`]: given the **pre-state fixpoint** of a
 //! module (the full input ∪ derived relation state of a previous
 //! materialization, captured in a [`PreState`]) and a database whose
 //! relations have since changed, it re-derives only what the change can
@@ -157,16 +157,6 @@ pub(crate) fn advance(
         }
         None => (materialize_with_cache(module, db, cache.clone())?, FixpointOutcome::Full),
     })
-}
-
-/// [`materialize_incremental_with_stats`] without the stats.
-pub fn materialize_incremental(
-    module: &Module,
-    pre: &PreState,
-    db: &Database,
-    cache: SharedIndexCache,
-) -> RelResult<BTreeMap<Name, Relation>> {
-    materialize_incremental_with_stats(module, pre, db, cache).map(|(rels, _)| rels)
 }
 
 /// Re-derive the module's relation state over `db`, reusing everything
@@ -570,8 +560,9 @@ mod tests {
         let pre = PreState::capture(&db0, &pre_rels);
         let mut db1 = db0.clone();
         db1.insert("E", tuple![1, 30]);
-        let inc =
-            materialize_incremental(&module, &pre, &db1, SharedIndexCache::default()).unwrap();
+        let (inc, _) =
+            materialize_incremental_with_stats(&module, &pre, &db1, SharedIndexCache::default())
+                .unwrap();
         let full = materialize_with_cache(&module, &db1, SharedIndexCache::default()).unwrap();
         assert_eq!(flatten(&inc), flatten(&full));
         assert!(inc[&rel_core::name("Tot")].contains(&tuple![1, 60]));

@@ -180,9 +180,7 @@ pub use eval::{EvalCtx, SharedIndexCache, WcojMode, WCOJ_MIN_ATOMS};
 pub use fixpoint::{
     eval_threads, materialize, materialize_with_cache, materialize_with_threads,
 };
-pub use incremental::{
-    materialize_incremental, materialize_incremental_with_stats, IncrementalStats, PreState,
-};
+pub use incremental::{materialize_incremental_with_stats, IncrementalStats, PreState};
 pub use metrics::MetricsSnapshot;
 pub use prepared::{Params, Prepared};
 pub use profile::{

@@ -16,6 +16,15 @@
 //! A rule `def p(params) : body` evaluates to
 //! `{ ⟨params(µ)⟩ · t | µ ∈ envs(body), t ∈ ⟦value-part⟧µ }` — for formula
 //! bodies the value part is `{⟨⟩}`, so heads alone produce the tuples.
+//!
+//! The child visitors [`Node::for_each_child`] and
+//! [`NodeMut::for_each_child`] are the one definition of the IR's shape.
+//! Every structural walk — predicate references here, dependency polarity
+//! in [`crate::strata`], and the engine's Δ-variant rewrite and variable
+//! references — writes only the arms where it does something of its own
+//! and hands every other node to them, so a new node kind is taught to
+//! every walk in one place, and the shared and mutable walks list children
+//! in one order.
 
 use rel_core::{name, Name, Value};
 use rel_syntax::ast::CmpOp;
@@ -356,8 +365,8 @@ pub struct Stratum {
 /// members), split by the polarity of the reference. A name can appear in
 /// both lists when different occurrences read it in different contexts.
 ///
-/// Computed by [`crate::strata::stratum_read_sets`] and stored on
-/// [`Module::stratum_reads`]; the engine's incremental-maintenance
+/// Computed by [`crate::analyze`] from its one walk over the rules and
+/// stored on [`Module::stratum_reads`]; the engine's incremental-maintenance
 /// subsystem uses the split to decide whether a changed input admits
 /// delta-seeded semi-naive restart (insertions into positively-read
 /// inputs) or forces a stratum recomputation (any change to a
@@ -475,79 +484,154 @@ impl Module {
     }
 }
 
-/// Visit every predicate name referenced by a formula (pre-order).
-pub fn visit_formula_preds(f: &Formula, visit: &mut impl FnMut(&Name)) {
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Conj(items) | Formula::Disj(items) => {
-            for i in items {
-                visit_formula_preds(i, visit);
-            }
-        }
-        Formula::Not(inner) => visit_formula_preds(inner, visit),
-        Formula::Atom(a) => visit(&a.pred),
-        Formula::DynAtom { rel, .. } => visit_rexpr_preds(rel, visit),
-        Formula::Cmp { lhs, rhs, .. } => {
-            visit_rexpr_preds(lhs, visit);
-            visit_rexpr_preds(rhs, visit);
-        }
-        Formula::Member { of, .. } => visit_rexpr_preds(of, visit),
-        Formula::Exists { body, .. } => visit_formula_preds(body, visit),
-        Formula::OfExpr(e) => visit_rexpr_preds(e, visit),
-    }
+/// A node of the lowered IR, for the child visitors: a formula or a
+/// relation expression.
+#[derive(Clone, Copy, Debug)]
+pub enum Node<'a> {
+    /// A formula.
+    Formula(&'a Formula),
+    /// A relation expression.
+    RExpr(&'a RExpr),
 }
 
-/// Visit every predicate name referenced by a relation expression.
-pub fn visit_rexpr_preds(e: &RExpr, visit: &mut impl FnMut(&Name)) {
-    match e {
-        RExpr::Pred(p) => visit(p),
-        RExpr::PApp { pred, .. } => visit(pred),
-        RExpr::DynPApp { rel, .. } => visit_rexpr_preds(rel, visit),
-        RExpr::Product(es) | RExpr::Union(es) => {
-            for x in es {
-                visit_rexpr_preds(x, visit);
-            }
-        }
-        RExpr::Singleton(_) => {}
-        RExpr::Where { body, cond } => {
-            visit_rexpr_preds(body, visit);
-            visit_formula_preds(cond, visit);
-        }
-        RExpr::Abstract { params, body, .. } => {
-            for p in params {
-                if let AbsParam::In(_, dom) = p {
-                    visit_rexpr_preds(dom, visit);
+/// A mutable node of the lowered IR (see [`Node`]).
+#[derive(Debug)]
+pub enum NodeMut<'a> {
+    /// A formula.
+    Formula(&'a mut Formula),
+    /// A relation expression.
+    RExpr(&'a mut RExpr),
+}
+
+impl<'a> Node<'a> {
+    /// Call `f` on each child node, in order: operands and list items left
+    /// to right, a `where`'s body before its condition, an abstraction's
+    /// `x in D` domains before its body, a `reduce`'s operation before its
+    /// input. Terms are not nodes; a `BuiltinApp`'s operation is a
+    /// primitive's name, not a child.
+    ///
+    /// This and [`NodeMut::for_each_child`] are the one definition of the
+    /// IR's shape: every walker matches only the nodes it treats specially
+    /// and hands every other node to them.
+    pub fn for_each_child(self, f: &mut impl FnMut(Node<'a>)) {
+        match self {
+            Node::Formula(x) => match x {
+                Formula::True | Formula::False | Formula::Atom(_) => {}
+                Formula::Conj(items) | Formula::Disj(items) => {
+                    items.iter().for_each(|i| f(Node::Formula(i)))
                 }
-            }
-            visit_rexpr_preds(body, visit);
+                Formula::Not(g) | Formula::Exists { body: g, .. } => f(Node::Formula(g)),
+                Formula::DynAtom { rel: e, .. }
+                | Formula::Member { of: e, .. }
+                | Formula::OfExpr(e) => f(Node::RExpr(e)),
+                Formula::Cmp { lhs, rhs, .. } => {
+                    f(Node::RExpr(lhs));
+                    f(Node::RExpr(rhs));
+                }
+            },
+            Node::RExpr(x) => match x {
+                RExpr::Pred(_) | RExpr::PApp { .. } | RExpr::Singleton(_) => {}
+                RExpr::DynPApp { rel: e, .. } => f(Node::RExpr(e)),
+                RExpr::Product(es) | RExpr::Union(es) | RExpr::BuiltinApp { args: es, .. } => {
+                    es.iter().for_each(|e| f(Node::RExpr(e)))
+                }
+                RExpr::Where { body, cond } => {
+                    f(Node::RExpr(body));
+                    f(Node::Formula(cond));
+                }
+                RExpr::Abstract { params, body, .. } => {
+                    for p in params {
+                        if let AbsParam::In(_, dom) = p {
+                            f(Node::RExpr(dom));
+                        }
+                    }
+                    f(Node::RExpr(body));
+                }
+                RExpr::Reduce { op: a, input: b, .. }
+                | RExpr::DotJoin(a, b)
+                | RExpr::LeftOverride(a, b) => {
+                    f(Node::RExpr(a));
+                    f(Node::RExpr(b));
+                }
+                RExpr::OfFormula(g) => f(Node::Formula(g)),
+            },
         }
-        RExpr::Reduce { op, input, .. } => {
-            visit_rexpr_preds(op, visit);
-            visit_rexpr_preds(input, visit);
-        }
-        // `op` is always a `rel_primitive_*` name, not a predicate
-        // reference — only the argument expressions are visited.
-        RExpr::BuiltinApp { args, .. } => {
-            for a in args {
-                visit_rexpr_preds(a, visit);
-            }
-        }
-        RExpr::DotJoin(a, b) | RExpr::LeftOverride(a, b) => {
-            visit_rexpr_preds(a, visit);
-            visit_rexpr_preds(b, visit);
-        }
-        RExpr::OfFormula(f) => visit_formula_preds(f, visit),
     }
 }
 
-/// Visit every predicate name a rule references (head domains + body).
-pub fn visit_rule_preds(rule: &Rule, visit: &mut impl FnMut(&Name)) {
-    for p in &rule.params {
-        if let AbsParam::In(_, dom) = p {
-            visit_rexpr_preds(dom, visit);
+impl<'a> NodeMut<'a> {
+    /// [`Node::for_each_child`] with mutable access: the same children in
+    /// the same order.
+    pub fn for_each_child(self, f: &mut impl FnMut(NodeMut<'a>)) {
+        match self {
+            NodeMut::Formula(x) => match x {
+                Formula::True | Formula::False | Formula::Atom(_) => {}
+                Formula::Conj(items) | Formula::Disj(items) => {
+                    items.iter_mut().for_each(|i| f(NodeMut::Formula(i)))
+                }
+                Formula::Not(g) | Formula::Exists { body: g, .. } => f(NodeMut::Formula(g)),
+                Formula::DynAtom { rel: e, .. }
+                | Formula::Member { of: e, .. }
+                | Formula::OfExpr(e) => f(NodeMut::RExpr(e)),
+                Formula::Cmp { lhs, rhs, .. } => {
+                    f(NodeMut::RExpr(lhs));
+                    f(NodeMut::RExpr(rhs));
+                }
+            },
+            NodeMut::RExpr(x) => match x {
+                RExpr::Pred(_) | RExpr::PApp { .. } | RExpr::Singleton(_) => {}
+                RExpr::DynPApp { rel: e, .. } => f(NodeMut::RExpr(e)),
+                RExpr::Product(es) | RExpr::Union(es) | RExpr::BuiltinApp { args: es, .. } => {
+                    es.iter_mut().for_each(|e| f(NodeMut::RExpr(e)))
+                }
+                RExpr::Where { body, cond } => {
+                    f(NodeMut::RExpr(body));
+                    f(NodeMut::Formula(cond));
+                }
+                RExpr::Abstract { params, body, .. } => {
+                    for p in params {
+                        if let AbsParam::In(_, dom) = p {
+                            f(NodeMut::RExpr(dom));
+                        }
+                    }
+                    f(NodeMut::RExpr(body));
+                }
+                RExpr::Reduce { op: a, input: b, .. }
+                | RExpr::DotJoin(a, b)
+                | RExpr::LeftOverride(a, b) => {
+                    f(NodeMut::RExpr(a));
+                    f(NodeMut::RExpr(b));
+                }
+                RExpr::OfFormula(g) => f(NodeMut::Formula(g)),
+            },
         }
     }
-    visit_rexpr_preds(&rule.body, visit);
+}
+
+/// Visit every predicate name referenced below `n`, in child order.
+fn visit_preds(n: Node<'_>, visit: &mut impl FnMut(&Name)) {
+    match n {
+        Node::Formula(Formula::Atom(Atom { pred, .. }))
+        | Node::RExpr(RExpr::Pred(pred) | RExpr::PApp { pred, .. }) => visit(pred),
+        _ => n.for_each_child(&mut |c| visit_preds(c, visit)),
+    }
+}
+
+/// The head domains and the body of a rule or constraint, as nodes.
+fn rule_nodes<'a>(params: &'a [AbsParam], body: &'a RExpr) -> impl Iterator<Item = Node<'a>> {
+    params
+        .iter()
+        .filter_map(|p| match p {
+            AbsParam::In(_, dom) => Some(Node::RExpr(dom)),
+            _ => None,
+        })
+        .chain([Node::RExpr(body)])
+}
+
+/// Visit every predicate name a rule references (head domains + body), in
+/// [`Node::for_each_child`] order.
+pub fn visit_rule_preds(rule: &Rule, visit: &mut impl FnMut(&Name)) {
+    rule_nodes(&rule.params, &rule.body).for_each(|n| visit_preds(n, visit));
 }
 
 /// Visit every predicate name an integrity constraint references
@@ -556,12 +640,7 @@ pub fn visit_rule_preds(rule: &Rule, visit: &mut impl FnMut(&Name)) {
 /// cone of a transaction's touched relations and must be re-verified
 /// against the post-change state.
 pub fn visit_constraint_preds(c: &ConstraintIr, visit: &mut impl FnMut(&Name)) {
-    for p in &c.params {
-        if let AbsParam::In(_, dom) = p {
-            visit_rexpr_preds(dom, visit);
-        }
-    }
-    visit_rexpr_preds(&c.body, visit);
+    rule_nodes(&c.params, &c.body).for_each(|n| visit_preds(n, visit));
 }
 
 impl fmt::Display for Term {
@@ -602,5 +681,86 @@ mod tests {
     fn abs_param_vars() {
         assert_eq!(AbsParam::Val(3).var(), Some(3));
         assert_eq!(AbsParam::Fixed(Value::int(0)).var(), None);
+    }
+
+    /// The node kinds with two or more children (an abstraction counts when
+    /// it has a domain), for the coverage check below.
+    fn multi_child_kind(n: Node<'_>) -> Option<&'static str> {
+        Some(match n {
+            Node::Formula(Formula::Conj(_)) => "and",
+            Node::Formula(Formula::Disj(_)) => "or",
+            Node::Formula(Formula::Cmp { .. }) => "cmp",
+            Node::RExpr(RExpr::Product(_)) => "product",
+            Node::RExpr(RExpr::Union(_)) => "union",
+            Node::RExpr(RExpr::Where { .. }) => "where",
+            Node::RExpr(RExpr::Abstract { params, .. })
+                if params.iter().any(|p| matches!(p, AbsParam::In(..))) =>
+            {
+                "abstract"
+            }
+            Node::RExpr(RExpr::Reduce { .. }) => "reduce",
+            Node::RExpr(RExpr::BuiltinApp { .. }) => "builtin",
+            Node::RExpr(RExpr::DotJoin(..)) => "dot",
+            Node::RExpr(RExpr::LeftOverride(..)) => "override",
+            _ => return None,
+        })
+    }
+
+    #[test]
+    fn predicate_visits_reach_every_domain() {
+        let m = crate::compile(
+            "def sum[{A}] : reduce[add, A]\n\
+             def Q[x in V] : sum[[y in W] : E[x, y]]",
+        )
+        .unwrap();
+        let mut seen = Vec::new();
+        for rule in m.rules.values().flatten() {
+            visit_rule_preds(rule, &mut |p| seen.push(p.to_string()));
+        }
+        for p in ["V", "W", "E"] {
+            assert!(seen.iter().any(|s| s == p), "{p} not visited: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn shared_and_mutable_visitors_list_children_in_one_order() {
+        fn shared(n: Node<'_>, order: &mut Vec<usize>, kinds: &mut Vec<&'static str>) {
+            order.push(match n {
+                Node::Formula(f) => f as *const Formula as usize,
+                Node::RExpr(e) => e as *const RExpr as usize,
+            });
+            kinds.extend(multi_child_kind(n));
+            n.for_each_child(&mut |c| shared(c, order, kinds));
+        }
+        fn mutable(n: NodeMut<'_>, order: &mut Vec<usize>) {
+            order.push(match &n {
+                NodeMut::Formula(f) => &**f as *const Formula as usize,
+                NodeMut::RExpr(e) => &**e as *const RExpr as usize,
+            });
+            n.for_each_child(&mut |c| mutable(c, order));
+        }
+        let mut m = crate::compile(
+            "def sum[{A}] : reduce[add, A]\n\
+             def P(x, y) : E(x, y) and (F(x, y) or not G(x)) and x + 1 < y\n\
+             def Q[x in V] : sum[[y in W] : E[x, y] where F(x, y)]\n\
+             def R(x, y) : {E.F; E <++ F}(x, y) and (V, W)(x, y)",
+        )
+        .unwrap();
+        let mut kinds = Vec::new();
+        for rule in m.rules.values_mut().flatten() {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            shared(Node::RExpr(&rule.body), &mut a, &mut kinds);
+            mutable(NodeMut::RExpr(&mut rule.body), &mut b);
+            assert_eq!(a, b, "child orders diverged in {:?}", rule.body);
+        }
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(
+            kinds,
+            [
+                "abstract", "and", "builtin", "cmp", "dot", "or", "override", "product",
+                "reduce", "union", "where"
+            ]
+        );
     }
 }

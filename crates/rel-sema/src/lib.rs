@@ -17,6 +17,14 @@
 //! 4. **Stratification** ([`strata`]) — SCC condensation of the dependency
 //!    graph, marking each stratum monotone (semi-naive) or non-monotone
 //!    (partial fixpoint, for the non-stratified programs Rel permits).
+//!    Each rule's references are collected once; the strata, their read
+//!    sets, their dependency edges and the module's query parameters are
+//!    all read off that one map.
+//!
+//! Structural walks share one child traversal per tree:
+//! [`rel_syntax::ast::Expr::map_children`] for the specializer's AST
+//! rewriters and [`ir::Node::for_each_child`] /
+//! [`ir::NodeMut::for_each_child`] for every IR walk.
 
 pub mod builtins;
 pub mod ir;
@@ -47,9 +55,10 @@ pub fn analyze(program: &Program) -> RelResult<Module> {
     let sp = specialize::specialize(program)?;
     let (rules, constraints) = lower::lower(&sp)?;
     let modes = safety::infer_modes(&rules)?;
-    let strata = strata::stratify(&rules);
-    let stratum_deps = strata::stratum_deps(&rules, &strata);
-    let stratum_reads = strata::stratum_read_sets(&rules, &strata);
+    let refs = strata::references(&rules);
+    let strata = strata::condense(&refs);
+    let stratum_reads = strata::stratum_read_sets(&refs, &strata);
+    let stratum_deps = strata::stratum_deps(&stratum_reads, &strata);
     let mut pred_info = std::collections::BTreeMap::new();
     for (i, s) in strata.iter().enumerate() {
         for p in &s.preds {
@@ -61,25 +70,17 @@ pub fn analyze(program: &Program) -> RelResult<Module> {
     }
     // Collect the `?name` query parameters the program references: they
     // lower to reserved `?`-prefixed base relations, which only the
-    // prepared-query execute path may populate.
+    // prepared-query execute path may populate. The rules' references are
+    // already in `refs`; only the constraints are walked here.
     let mut params = std::collections::BTreeSet::new();
     let mut see = |n: &rel_core::Name| {
         if let Some(p) = ir::param_name(n) {
             params.insert(rel_core::name(p));
         }
     };
-    for rs in rules.values() {
-        for r in rs {
-            ir::visit_rule_preds(r, &mut see);
-        }
-    }
+    refs.values().flatten().for_each(|(n, _)| see(n));
     for c in &constraints {
-        for p in &c.params {
-            if let ir::AbsParam::In(_, dom) = p {
-                ir::visit_rexpr_preds(dom, &mut see);
-            }
-        }
-        ir::visit_rexpr_preds(&c.body, &mut see);
+        ir::visit_constraint_preds(c, &mut see);
     }
     let params: Vec<rel_core::Name> = params.into_iter().collect();
     Ok(Module { rules, constraints, strata, stratum_deps, stratum_reads, pred_info, params })

@@ -23,6 +23,7 @@ use crate::builtins;
 use rel_core::{RelError, RelResult};
 use rel_syntax::ast::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 
 /// Maximum number of generated instances before we assume divergence.
 const INSTANCE_CAP: usize = 10_000;
@@ -174,23 +175,8 @@ struct Sp {
 
 impl Sp {
     fn transform_def(&mut self, def: &Def, subst: &Subst) -> RelResult<Def> {
-        let mut scope = Scope::new();
-        let mut params = Vec::with_capacity(def.params.len());
-        for p in &def.params {
-            match p {
-                Binding::In(v, dom) => {
-                    let dom = self.transform_expr(dom, &scope, subst)?;
-                    scope.bind(v);
-                    params.push(Binding::In(v.clone(), dom));
-                }
-                other => {
-                    if let Some(v) = other.var_name() {
-                        scope.bind(v);
-                    }
-                    params.push(other.clone());
-                }
-            }
-        }
+        let (params, scope) =
+            bind_all(&def.params, &Scope::new(), &mut |d, s| self.transform_expr(d, s, subst))?;
         let body = self.transform_expr(&def.body, &scope, subst)?;
         Ok(Def { name: def.name.clone(), params, style: def.style, body })
     }
@@ -198,125 +184,21 @@ impl Sp {
     /// Core rewrite: apply the relation-variable substitution, instantiate
     /// second-order calls, recurse structurally.
     fn transform_expr(&mut self, e: &Expr, scope: &Scope, subst: &Subst) -> RelResult<Expr> {
-        Ok(match e {
-            Expr::Ident(n) => {
-                if let Some(repl) = subst.get(n) {
-                    repl.clone()
-                } else {
-                    e.clone()
-                }
-            }
-            Expr::Lit(_)
-            | Expr::TupleVar(_)
-            | Expr::Wildcard
-            | Expr::TupleWildcard
-            | Expr::Param(_) => e.clone(),
+        match e {
+            Expr::Ident(n) => Ok(subst.get(n).unwrap_or(e).clone()),
             Expr::App { func, args, style } => {
-                self.transform_app(func, args, *style, scope, subst)?
+                self.transform_app(func, args, *style, scope, subst)
             }
-            Expr::Product(es) => Expr::Product(
-                es.iter()
-                    .map(|x| self.transform_expr(x, scope, subst))
-                    .collect::<RelResult<_>>()?,
-            ),
-            Expr::Union(es) => Expr::Union(
-                es.iter()
-                    .map(|x| self.transform_expr(x, scope, subst))
-                    .collect::<RelResult<_>>()?,
-            ),
-            Expr::Where(a, b) => Expr::Where(
-                Box::new(self.transform_expr(a, scope, subst)?),
-                Box::new(self.transform_expr(b, scope, subst)?),
-            ),
-            Expr::And(a, b) => Expr::And(
-                Box::new(self.transform_expr(a, scope, subst)?),
-                Box::new(self.transform_expr(b, scope, subst)?),
-            ),
-            Expr::Or(a, b) => Expr::Or(
-                Box::new(self.transform_expr(a, scope, subst)?),
-                Box::new(self.transform_expr(b, scope, subst)?),
-            ),
-            Expr::Implies(a, b) => Expr::Implies(
-                Box::new(self.transform_expr(a, scope, subst)?),
-                Box::new(self.transform_expr(b, scope, subst)?),
-            ),
-            Expr::Iff(a, b) => Expr::Iff(
-                Box::new(self.transform_expr(a, scope, subst)?),
-                Box::new(self.transform_expr(b, scope, subst)?),
-            ),
-            Expr::Xor(a, b) => Expr::Xor(
-                Box::new(self.transform_expr(a, scope, subst)?),
-                Box::new(self.transform_expr(b, scope, subst)?),
-            ),
-            Expr::Not(a) => Expr::Not(Box::new(self.transform_expr(a, scope, subst)?)),
-            Expr::Neg(a) => Expr::Neg(Box::new(self.transform_expr(a, scope, subst)?)),
-            Expr::Cmp(op, a, b) => Expr::Cmp(
-                *op,
-                Box::new(self.transform_expr(a, scope, subst)?),
-                Box::new(self.transform_expr(b, scope, subst)?),
-            ),
-            Expr::Arith(op, a, b) => Expr::Arith(
-                *op,
-                Box::new(self.transform_expr(a, scope, subst)?),
-                Box::new(self.transform_expr(b, scope, subst)?),
-            ),
-            Expr::DotJoin(a, b) => Expr::DotJoin(
-                Box::new(self.transform_expr(a, scope, subst)?),
-                Box::new(self.transform_expr(b, scope, subst)?),
-            ),
-            Expr::LeftOverride(a, b) => Expr::LeftOverride(
-                Box::new(self.transform_expr(a, scope, subst)?),
-                Box::new(self.transform_expr(b, scope, subst)?),
-            ),
-            Expr::Abstraction { bindings, style, body } => {
-                let (bindings, inner) = self.transform_bindings(bindings, scope, subst)?;
-                Expr::Abstraction {
-                    bindings,
-                    style: *style,
-                    body: Box::new(self.transform_expr(body, &inner, subst)?),
-                }
+            Expr::Abstraction { bindings, body, .. }
+            | Expr::Exists { bindings, body }
+            | Expr::Forall { bindings, body } => {
+                let (bindings, inner) =
+                    bind_all(bindings, scope, &mut |d, s| self.transform_expr(d, s, subst))?;
+                let body = self.transform_expr(body, &inner, subst)?;
+                Ok(rebind(e, bindings, body))
             }
-            Expr::Exists { bindings, body } => {
-                let (bindings, inner) = self.transform_bindings(bindings, scope, subst)?;
-                Expr::Exists {
-                    bindings,
-                    body: Box::new(self.transform_expr(body, &inner, subst)?),
-                }
-            }
-            Expr::Forall { bindings, body } => {
-                let (bindings, inner) = self.transform_bindings(bindings, scope, subst)?;
-                Expr::Forall {
-                    bindings,
-                    body: Box::new(self.transform_expr(body, &inner, subst)?),
-                }
-            }
-        })
-    }
-
-    fn transform_bindings(
-        &mut self,
-        bindings: &[Binding],
-        scope: &Scope,
-        subst: &Subst,
-    ) -> RelResult<(Vec<Binding>, Scope)> {
-        let mut out = Vec::with_capacity(bindings.len());
-        let mut inner = scope.clone();
-        for b in bindings {
-            match b {
-                Binding::In(v, dom) => {
-                    let dom = self.transform_expr(dom, &inner, subst)?;
-                    inner.bind(v);
-                    out.push(Binding::In(v.clone(), dom));
-                }
-                other => {
-                    if let Some(v) = other.var_name() {
-                        inner.bind(v);
-                    }
-                    out.push(other.clone());
-                }
-            }
+            _ => e.map_children(&mut |c| self.transform_expr(c, scope, subst)),
         }
-        Ok((out, inner))
     }
 
     fn transform_app(
@@ -546,6 +428,41 @@ impl Sp {
     }
 }
 
+/// Rewrite a binder's bindings left to right: each `x in D` domain is
+/// rewritten (by `rewrite`) under the variables bound before it, then every
+/// named binding joins the scope. Returns the new bindings and the scope
+/// of the binder's body. Serves rule heads and every binder of both
+/// scope-aware rewriters.
+fn bind_all<E>(
+    bindings: &[Binding],
+    scope: &Scope,
+    rewrite: &mut impl FnMut(&Expr, &Scope) -> Result<Expr, E>,
+) -> Result<(Vec<Binding>, Scope), E> {
+    let mut inner = scope.clone();
+    let mut out = Vec::with_capacity(bindings.len());
+    for b in bindings {
+        out.push(match b {
+            Binding::In(v, dom) => Binding::In(v.clone(), rewrite(dom, &inner)?),
+            other => other.clone(),
+        });
+        if let Some(v) = b.var_name() {
+            inner.bind(v);
+        }
+    }
+    Ok((out, inner))
+}
+
+/// The binder `e` (an abstraction or quantifier) with new bindings and body.
+fn rebind(e: &Expr, bindings: Vec<Binding>, body: Expr) -> Expr {
+    let body = Box::new(body);
+    match e {
+        Expr::Abstraction { style, .. } => Expr::Abstraction { bindings, style: *style, body },
+        Expr::Exists { .. } => Expr::Exists { bindings, body },
+        Expr::Forall { .. } => Expr::Forall { bindings, body },
+        other => unreachable!("not a binder: {other:?}"),
+    }
+}
+
 /// Is this argument *unambiguously* a first-order (value) expression?
 /// Literals, in-scope variables, and arithmetic over those cannot denote
 /// relations, so the engine routes them to first-order rules without an
@@ -587,164 +504,45 @@ fn could_be_first_order(args: &[Arg], scope: &Scope) -> bool {
 /// original names. Identifiers not in scope are relation names and are left
 /// alone.
 fn canonicalize(e: &Expr, scope: &Scope, lifted: &mut Vec<String>) -> RelResult<Expr> {
-    fn go(
-        e: &Expr,
-        scope: &Scope,
-        local: &mut BTreeSet<String>,
-        lifted: &mut Vec<String>,
-    ) -> RelResult<Expr> {
-        Ok(match e {
-            Expr::Ident(n) => {
-                if local.contains(n) {
-                    e.clone()
-                } else if scope.contains(n) {
-                    let idx = match lifted.iter().position(|v| v == n) {
-                        Some(i) => i,
-                        None => {
-                            lifted.push(n.clone());
-                            lifted.len() - 1
-                        }
-                    };
-                    Expr::Ident(format!("${idx}"))
-                } else {
-                    e.clone()
-                }
+    /// `local` holds the variables bound inside the argument itself.
+    fn go(e: &Expr, scope: &Scope, local: &Scope, lifted: &mut Vec<String>) -> RelResult<Expr> {
+        match e {
+            Expr::Ident(n) if scope.contains(n) && !local.contains(n) => {
+                let idx = match lifted.iter().position(|v| v == n) {
+                    Some(i) => i,
+                    None => {
+                        lifted.push(n.clone());
+                        lifted.len() - 1
+                    }
+                };
+                Ok(Expr::Ident(format!("${idx}")))
             }
             Expr::TupleVar(n) if scope.contains(n) && !local.contains(n) => {
-                return Err(RelError::resolve(format!(
+                Err(RelError::resolve(format!(
                     "free tuple variable `{n}...` cannot be lifted into a \
                      relation argument"
                 )))
             }
-            Expr::Lit(_)
-            | Expr::TupleVar(_)
-            | Expr::Wildcard
-            | Expr::TupleWildcard
-            | Expr::Param(_) => e.clone(),
-            Expr::Abstraction { bindings, style, body } => {
-                let mut inner = local.clone();
-                let mut bs = Vec::new();
-                for b in bindings {
-                    match b {
-                        Binding::In(v, dom) => {
-                            let dom = go(dom, scope, &mut inner.clone(), lifted)?;
-                            inner.insert(v.clone());
-                            bs.push(Binding::In(v.clone(), dom));
-                        }
-                        other => {
-                            if let Some(v) = other.var_name() {
-                                inner.insert(v.to_string());
-                            }
-                            bs.push(other.clone());
-                        }
-                    }
-                }
-                Expr::Abstraction {
-                    bindings: bs,
-                    style: *style,
-                    body: Box::new(go(body, scope, &mut inner, lifted)?),
-                }
+            Expr::Abstraction { bindings, body, .. }
+            | Expr::Exists { bindings, body }
+            | Expr::Forall { bindings, body } => {
+                let (bindings, inner) =
+                    bind_all(bindings, local, &mut |d, s| go(d, scope, s, lifted))?;
+                let body = go(body, scope, &inner, lifted)?;
+                Ok(rebind(e, bindings, body))
             }
-            Expr::Exists { bindings, body } | Expr::Forall { bindings, body } => {
-                let mut inner = local.clone();
-                let mut bs = Vec::new();
-                for b in bindings {
-                    match b {
-                        Binding::In(v, dom) => {
-                            let dom = go(dom, scope, &mut inner.clone(), lifted)?;
-                            inner.insert(v.clone());
-                            bs.push(Binding::In(v.clone(), dom));
-                        }
-                        other => {
-                            if let Some(v) = other.var_name() {
-                                inner.insert(v.to_string());
-                            }
-                            bs.push(other.clone());
-                        }
-                    }
-                }
-                let body = Box::new(go(body, scope, &mut inner, lifted)?);
-                if matches!(e, Expr::Exists { .. }) {
-                    Expr::Exists { bindings: bs, body }
-                } else {
-                    Expr::Forall { bindings: bs, body }
-                }
-            }
-            Expr::App { func, args, style } => Expr::App {
-                func: Box::new(go(func, scope, local, lifted)?),
-                args: args
-                    .iter()
-                    .map(|a| {
-                        Ok(Arg { expr: go(&a.expr, scope, local, lifted)?, ann: a.ann })
-                    })
-                    .collect::<RelResult<_>>()?,
-                style: *style,
-            },
-            Expr::Product(es) => Expr::Product(
-                es.iter().map(|x| go(x, scope, local, lifted)).collect::<RelResult<_>>()?,
-            ),
-            Expr::Union(es) => Expr::Union(
-                es.iter().map(|x| go(x, scope, local, lifted)).collect::<RelResult<_>>()?,
-            ),
-            Expr::Where(a, b) => Expr::Where(
-                Box::new(go(a, scope, local, lifted)?),
-                Box::new(go(b, scope, local, lifted)?),
-            ),
-            Expr::And(a, b) => Expr::And(
-                Box::new(go(a, scope, local, lifted)?),
-                Box::new(go(b, scope, local, lifted)?),
-            ),
-            Expr::Or(a, b) => Expr::Or(
-                Box::new(go(a, scope, local, lifted)?),
-                Box::new(go(b, scope, local, lifted)?),
-            ),
-            Expr::Implies(a, b) => Expr::Implies(
-                Box::new(go(a, scope, local, lifted)?),
-                Box::new(go(b, scope, local, lifted)?),
-            ),
-            Expr::Iff(a, b) => Expr::Iff(
-                Box::new(go(a, scope, local, lifted)?),
-                Box::new(go(b, scope, local, lifted)?),
-            ),
-            Expr::Xor(a, b) => Expr::Xor(
-                Box::new(go(a, scope, local, lifted)?),
-                Box::new(go(b, scope, local, lifted)?),
-            ),
-            Expr::Not(a) => Expr::Not(Box::new(go(a, scope, local, lifted)?)),
-            Expr::Neg(a) => Expr::Neg(Box::new(go(a, scope, local, lifted)?)),
-            Expr::Cmp(op, a, b) => Expr::Cmp(
-                *op,
-                Box::new(go(a, scope, local, lifted)?),
-                Box::new(go(b, scope, local, lifted)?),
-            ),
-            Expr::Arith(op, a, b) => Expr::Arith(
-                *op,
-                Box::new(go(a, scope, local, lifted)?),
-                Box::new(go(b, scope, local, lifted)?),
-            ),
-            Expr::DotJoin(a, b) => Expr::DotJoin(
-                Box::new(go(a, scope, local, lifted)?),
-                Box::new(go(b, scope, local, lifted)?),
-            ),
-            Expr::LeftOverride(a, b) => Expr::LeftOverride(
-                Box::new(go(a, scope, local, lifted)?),
-                Box::new(go(b, scope, local, lifted)?),
-            ),
-        })
+            _ => e.map_children(&mut |c| go(c, scope, local, lifted)),
+        }
     }
-    let mut local = BTreeSet::new();
-    go(e, scope, &mut local, lifted)
+    go(e, scope, &Scope::new(), lifted)
 }
 
 /// Alpha-rename all locally bound variables of a def with a prefix. The
 /// canonical `$i` names and relation names are untouched.
 fn alpha_rename(def: &Def, prefix: &str) -> Def {
     let mut map: BTreeMap<String, String> = BTreeMap::new();
-    let mut params = Vec::with_capacity(def.params.len());
-    for p in &def.params {
-        params.push(rename_binding(p, prefix, &mut map));
-    }
-    let body = rename_expr(&def.body, prefix, &mut map);
+    let params = def.params.iter().map(|p| rename_binding(p, prefix, &mut map)).collect();
+    let Ok(body) = rename_expr(&def.body, prefix, &mut map);
     Def { name: def.name.clone(), params, style: def.style, body }
 }
 
@@ -758,100 +556,30 @@ fn rename_binding(b: &Binding, prefix: &str, map: &mut BTreeMap<String, String>)
     match b {
         Binding::Var(v) => Binding::Var(renamed(v, prefix, map)),
         Binding::TupleVar(v) => Binding::TupleVar(renamed(v, prefix, map)),
-        Binding::RelVar(v) => Binding::RelVar(v.clone()),
         Binding::In(v, dom) => {
-            let dom = rename_expr(dom, prefix, map);
+            let Ok(dom) = rename_expr(dom, prefix, map);
             Binding::In(renamed(v, prefix, map), dom)
         }
-        Binding::Lit(v) => Binding::Lit(v.clone()),
-        Binding::Wildcard => Binding::Wildcard,
+        Binding::RelVar(_) | Binding::Lit(_) | Binding::Wildcard => b.clone(),
     }
 }
 
-fn rename_expr(e: &Expr, prefix: &str, map: &mut BTreeMap<String, String>) -> Expr {
-    match e {
-        Expr::Ident(n) => match map.get(n) {
-            Some(r) => Expr::Ident(r.clone()),
-            None => e.clone(),
-        },
-        Expr::TupleVar(n) => match map.get(n) {
-            Some(r) => Expr::TupleVar(r.clone()),
-            None => e.clone(),
-        },
-        Expr::Lit(_) | Expr::Wildcard | Expr::TupleWildcard | Expr::Param(_) => e.clone(),
-        Expr::Product(es) => {
-            Expr::Product(es.iter().map(|x| rename_expr(x, prefix, map)).collect())
-        }
-        Expr::Union(es) => Expr::Union(es.iter().map(|x| rename_expr(x, prefix, map)).collect()),
-        Expr::Where(a, b) => Expr::Where(
-            Box::new(rename_expr(a, prefix, map)),
-            Box::new(rename_expr(b, prefix, map)),
-        ),
-        Expr::And(a, b) => Expr::And(
-            Box::new(rename_expr(a, prefix, map)),
-            Box::new(rename_expr(b, prefix, map)),
-        ),
-        Expr::Or(a, b) => Expr::Or(
-            Box::new(rename_expr(a, prefix, map)),
-            Box::new(rename_expr(b, prefix, map)),
-        ),
-        Expr::Implies(a, b) => Expr::Implies(
-            Box::new(rename_expr(a, prefix, map)),
-            Box::new(rename_expr(b, prefix, map)),
-        ),
-        Expr::Iff(a, b) => Expr::Iff(
-            Box::new(rename_expr(a, prefix, map)),
-            Box::new(rename_expr(b, prefix, map)),
-        ),
-        Expr::Xor(a, b) => Expr::Xor(
-            Box::new(rename_expr(a, prefix, map)),
-            Box::new(rename_expr(b, prefix, map)),
-        ),
-        Expr::Not(a) => Expr::Not(Box::new(rename_expr(a, prefix, map))),
-        Expr::Neg(a) => Expr::Neg(Box::new(rename_expr(a, prefix, map))),
-        Expr::Cmp(op, a, b) => Expr::Cmp(
-            *op,
-            Box::new(rename_expr(a, prefix, map)),
-            Box::new(rename_expr(b, prefix, map)),
-        ),
-        Expr::Arith(op, a, b) => Expr::Arith(
-            *op,
-            Box::new(rename_expr(a, prefix, map)),
-            Box::new(rename_expr(b, prefix, map)),
-        ),
-        Expr::DotJoin(a, b) => Expr::DotJoin(
-            Box::new(rename_expr(a, prefix, map)),
-            Box::new(rename_expr(b, prefix, map)),
-        ),
-        Expr::LeftOverride(a, b) => Expr::LeftOverride(
-            Box::new(rename_expr(a, prefix, map)),
-            Box::new(rename_expr(b, prefix, map)),
-        ),
-        Expr::Abstraction { bindings, style, body } => {
+fn rename_expr(
+    e: &Expr,
+    prefix: &str,
+    map: &mut BTreeMap<String, String>,
+) -> Result<Expr, Infallible> {
+    Ok(match e {
+        Expr::Ident(n) => Expr::Ident(map.get(n).unwrap_or(n).clone()),
+        Expr::TupleVar(n) => Expr::TupleVar(map.get(n).unwrap_or(n).clone()),
+        Expr::Abstraction { bindings, body, .. }
+        | Expr::Exists { bindings, body }
+        | Expr::Forall { bindings, body } => {
             let bindings = bindings.iter().map(|b| rename_binding(b, prefix, map)).collect();
-            Expr::Abstraction {
-                bindings,
-                style: *style,
-                body: Box::new(rename_expr(body, prefix, map)),
-            }
+            rebind(e, bindings, rename_expr(body, prefix, map)?)
         }
-        Expr::Exists { bindings, body } => {
-            let bindings = bindings.iter().map(|b| rename_binding(b, prefix, map)).collect();
-            Expr::Exists { bindings, body: Box::new(rename_expr(body, prefix, map)) }
-        }
-        Expr::Forall { bindings, body } => {
-            let bindings = bindings.iter().map(|b| rename_binding(b, prefix, map)).collect();
-            Expr::Forall { bindings, body: Box::new(rename_expr(body, prefix, map)) }
-        }
-        Expr::App { func, args, style } => Expr::App {
-            func: Box::new(rename_expr(func, prefix, map)),
-            args: args
-                .iter()
-                .map(|a| Arg { expr: rename_expr(&a.expr, prefix, map), ann: a.ann })
-                .collect(),
-            style: *style,
-        },
-    }
+        _ => e.map_children(&mut |c| rename_expr(c, prefix, map))?,
+    })
 }
 
 #[cfg(test)]
@@ -1046,6 +774,21 @@ mod tests {
         let addup_insts: Vec<_> =
             sp.instances.values().filter(|(o, _)| o == "addUp").collect();
         assert_eq!(addup_insts.len(), 1);
+    }
+
+    #[test]
+    fn annotations_survive_instantiation() {
+        // `wrap`'s body is alpha-renamed before it is instantiated; the
+        // `&` on its inner call must survive that rewrite, or the call
+        // reads as ambiguous between `addUp`'s two kinds of rules.
+        let sp = run(
+            "def addUp[{A}] : sum[A]\n\
+             def addUp[x in Int] : x\n\
+             def sum[{A}] : reduce[add,A]\n\
+             def wrap[{A}] : addUp[&{A; 22}]\n\
+             def out(v) : wrap[{11;22}](v)",
+        );
+        assert!(sp.instances.values().any(|(o, _)| o == "addUp"));
     }
 
     #[test]

@@ -11,9 +11,16 @@
 //! error: per §3.3/Addendum A, Rel admits non-stratified programs. Such
 //! strata are marked non-monotone and the engine evaluates them with
 //! partial-fixpoint iteration instead of semi-naive (DESIGN.md §2.3).
+//!
+//! Each rule's references are collected once, by one polarity walk over
+//! the IR's child visitor, into a `References` map. [`crate::analyze`]
+//! reads the strata and each stratum's read set off that one map, and
+//! derives the strata's dependency edges from the read sets (the strata
+//! of the names a stratum reads, itself excluded), so no rule is walked
+//! twice per analysis.
 
 use crate::builtins;
-use crate::ir::{Formula, RExpr, Rule, Stratum, StratumReads};
+use crate::ir::{AbsParam, Atom, Formula, Node, RExpr, Rule, Stratum, StratumReads};
 use rel_core::Name;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -26,114 +33,68 @@ pub enum Polarity {
     Negative,
 }
 
-/// Collect `(dependency, polarity)` pairs from one rule body.
-pub fn rule_deps(rule: &Rule) -> BTreeSet<(Name, Polarity)> {
-    let mut out = BTreeSet::new();
-    for p in &rule.params {
-        if let crate::ir::AbsParam::In(_, dom) = p {
-            rexpr_deps(dom, Polarity::Positive, &mut out);
-        }
-    }
-    rexpr_deps(&rule.body, Polarity::Positive, &mut out);
-    out
-}
+/// Every rule's references, collected once per analysis: for each head
+/// predicate, the `(name, polarity)` pairs its rules reference (head domains
+/// and bodies), builtins excluded. [`condense`] and [`stratum_read_sets`]
+/// read this map, and [`stratum_deps`] is derived from the read sets, so no
+/// analysis walks a rule twice.
+pub(crate) type References = BTreeMap<Name, BTreeSet<(Name, Polarity)>>;
 
-fn flip(p: Polarity) -> Polarity {
-    match p {
-        Polarity::Positive => Polarity::Negative,
-        Polarity::Negative => Polarity::Negative, // stay conservative
-    }
-}
-
-fn add(pred: &Name, pol: Polarity, out: &mut BTreeSet<(Name, Polarity)>) {
-    if !builtins::is_builtin(pred) {
-        out.insert((pred.clone(), pol));
-    }
-}
-
-fn formula_deps(f: &Formula, pol: Polarity, out: &mut BTreeSet<(Name, Polarity)>) {
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Conj(items) | Formula::Disj(items) => {
-            for i in items {
-                formula_deps(i, pol, out);
-            }
-        }
-        Formula::Not(inner) => formula_deps(inner, flip(pol), out),
-        Formula::Atom(a) => add(&a.pred, pol, out),
-        Formula::DynAtom { rel, .. } => rexpr_deps(rel, pol, out),
-        Formula::Cmp { lhs, rhs, .. } => {
-            rexpr_deps(lhs, pol, out);
-            rexpr_deps(rhs, pol, out);
-        }
-        Formula::Member { of, .. } => rexpr_deps(of, pol, out),
-        Formula::Exists { body, .. } => formula_deps(body, pol, out),
-        Formula::OfExpr(e) => rexpr_deps(e, pol, out),
-    }
-}
-
-fn rexpr_deps(e: &RExpr, pol: Polarity, out: &mut BTreeSet<(Name, Polarity)>) {
-    match e {
-        RExpr::Pred(p) => add(p, pol, out),
-        RExpr::PApp { pred, .. } => add(pred, pol, out),
-        RExpr::DynPApp { rel, .. } => rexpr_deps(rel, pol, out),
-        RExpr::Product(es) | RExpr::Union(es) => {
-            for x in es {
-                rexpr_deps(x, pol, out);
-            }
-        }
-        RExpr::Singleton(_) => {}
-        RExpr::Where { body, cond } => {
-            rexpr_deps(body, pol, out);
-            formula_deps(cond, pol, out);
-        }
-        RExpr::Abstract { params, body, .. } => {
-            for p in params {
-                if let crate::ir::AbsParam::In(_, dom) = p {
-                    rexpr_deps(dom, pol, out);
+/// Walk every rule once and collect its references (see [`References`]).
+pub(crate) fn references(rules: &BTreeMap<Name, Vec<Rule>>) -> References {
+    rules
+        .iter()
+        .map(|(pred, rs)| {
+            let mut out = BTreeSet::new();
+            for r in rs {
+                for p in &r.params {
+                    if let AbsParam::In(_, dom) = p {
+                        deps(Node::RExpr(dom), Polarity::Positive, &mut out);
+                    }
                 }
+                deps(Node::RExpr(&r.body), Polarity::Positive, &mut out);
             }
-            rexpr_deps(body, pol, out);
-        }
-        RExpr::Reduce { op, input, .. } => {
-            // Aggregation is non-monotone in its input.
-            rexpr_deps(op, pol, out);
-            rexpr_deps(input, flip(pol), out);
-        }
-        RExpr::BuiltinApp { args, .. } => {
-            for a in args {
-                rexpr_deps(a, pol, out);
+            (pred.clone(), out)
+        })
+        .collect()
+}
+
+/// The polarity walk: a reference is negative under negation, in a
+/// `reduce` input (aggregation is non-monotone in its input), or on either
+/// side of a left-override (`a <++ b` contains `… and not a(…)`, so both
+/// sides are treated as non-monotone to be safe). Negative stays negative.
+fn deps(n: Node<'_>, pol: Polarity, out: &mut BTreeSet<(Name, Polarity)>) {
+    match n {
+        Node::Formula(Formula::Atom(Atom { pred, .. }))
+        | Node::RExpr(RExpr::Pred(pred) | RExpr::PApp { pred, .. }) => {
+            if !builtins::is_builtin(pred) {
+                out.insert((pred.clone(), pol));
             }
         }
-        RExpr::DotJoin(a, b) => {
-            rexpr_deps(a, pol, out);
-            rexpr_deps(b, pol, out);
+        Node::Formula(Formula::Not(g)) => deps(Node::Formula(g), Polarity::Negative, out),
+        Node::RExpr(RExpr::Reduce { op, input, .. }) => {
+            deps(Node::RExpr(op), pol, out);
+            deps(Node::RExpr(input), Polarity::Negative, out);
         }
-        RExpr::LeftOverride(a, b) => {
-            // `a <++ b` contains `… and not a(…)` — treat both sides as
-            // non-monotone to be safe.
-            rexpr_deps(a, flip(pol), out);
-            rexpr_deps(b, flip(pol), out);
+        Node::RExpr(RExpr::LeftOverride(..)) => {
+            n.for_each_child(&mut |c| deps(c, Polarity::Negative, out))
         }
-        RExpr::OfFormula(f) => formula_deps(f, pol, out),
+        _ => n.for_each_child(&mut |c| deps(c, pol, out)),
     }
 }
 
 /// Compute strata for a rule set: Tarjan SCC condensation in dependency
 /// order (dependencies first).
 pub fn stratify(rules: &BTreeMap<Name, Vec<Rule>>) -> Vec<Stratum> {
+    condense(&references(rules))
+}
+
+/// [`stratify`] over already-collected [`references`].
+pub(crate) fn condense(refs: &References) -> Vec<Stratum> {
     // Adjacency: pred → (dep, polarity), restricted to IDB preds.
-    let idb: BTreeSet<&Name> = rules.keys().collect();
+    let idb: BTreeSet<&Name> = refs.keys().collect();
     let mut adj: BTreeMap<&Name, Vec<(&Name, Polarity)>> = BTreeMap::new();
-    let mut dep_store: BTreeMap<&Name, BTreeSet<(Name, Polarity)>> = BTreeMap::new();
-    for (pred, rs) in rules {
-        let mut deps = BTreeSet::new();
-        for r in rs {
-            deps.extend(rule_deps(r));
-        }
-        dep_store.insert(pred, deps);
-    }
-    for (pred, deps) in &dep_store {
+    for (pred, deps) in refs {
         let entry = adj.entry(pred).or_default();
         for (d, pol) in deps.iter() {
             if let Some(key) = idb.get(d) {
@@ -161,7 +122,7 @@ pub fn stratify(rules: &BTreeMap<Name, Vec<Rule>>) -> Vec<Stratum> {
     };
 
     // Explicit DFS stack frames: (node, child cursor).
-    for start in rules.keys() {
+    for start in refs.keys() {
         if t.index.contains_key(start) {
             continue;
         }
@@ -239,74 +200,57 @@ pub fn stratify(rules: &BTreeMap<Name, Vec<Rule>>) -> Vec<Stratum> {
         .collect()
 }
 
-/// Compute the condensation's dependency edges over already-computed
-/// strata: `deps[i]` lists the indices of the strata that stratum `i`
-/// reads from (sorted, deduplicated, self-edges omitted). Because
-/// [`stratify`] emits strata dependencies-first, every entry of `deps[i]`
-/// is `< i` — the result is a DAG in topological order, which is exactly
-/// what a parallel scheduler needs: stratum `i` may start as soon as all
-/// of `deps[i]` have finished, and strata with disjoint ancestries may
-/// run concurrently.
-pub fn stratum_deps(rules: &BTreeMap<Name, Vec<Rule>>, strata: &[Stratum]) -> Vec<Vec<usize>> {
-    let stratum_of: BTreeMap<&Name, usize> = strata
-        .iter()
-        .enumerate()
-        .flat_map(|(i, s)| s.preds.iter().map(move |p| (p, i)))
-        .collect();
-    strata
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let mut deps = BTreeSet::new();
-            for p in &s.preds {
-                for r in rules.get(p).map(Vec::as_slice).unwrap_or(&[]) {
-                    for (d, _) in rule_deps(r) {
-                        if let Some(&j) = stratum_of.get(&d) {
-                            if j != i {
-                                debug_assert!(j < i, "strata not in dependency order");
-                                deps.insert(j);
-                            }
-                        }
-                    }
-                }
-            }
-            deps.into_iter().collect()
-        })
-        .collect()
-}
-
 /// Compute each stratum's read set: every non-builtin relation name its
 /// rules reference (including the stratum's own SCC members), split by
-/// the polarity of the reference — [`rule_deps`]' notion of polarity, so
-/// "negative" covers negation, aggregation inputs, and left-override.
+/// the polarity of the reference, so "negative" covers negation,
+/// aggregation inputs, and left-override.
 ///
 /// Indexing matches `strata`. The result feeds
 /// [`crate::ir::Module::dependent_cone`] (which relations can invalidate
-/// which strata) and the engine's incremental maintenance (which changed
-/// inputs admit delta-seeded restart vs force recomputation).
-pub fn stratum_read_sets(
-    rules: &BTreeMap<Name, Vec<Rule>>,
-    strata: &[Stratum],
-) -> Vec<StratumReads> {
+/// which strata), [`stratum_deps`], and the engine's incremental
+/// maintenance (which changed inputs admit delta-seeded restart vs force
+/// recomputation).
+pub(crate) fn stratum_read_sets(refs: &References, strata: &[Stratum]) -> Vec<StratumReads> {
     strata
         .iter()
         .map(|s| {
             let mut positive = BTreeSet::new();
             let mut negative = BTreeSet::new();
-            for p in &s.preds {
-                for r in rules.get(p).map(Vec::as_slice).unwrap_or(&[]) {
-                    for (d, pol) in rule_deps(r) {
-                        match pol {
-                            Polarity::Positive => positive.insert(d),
-                            Polarity::Negative => negative.insert(d),
-                        };
-                    }
-                }
+            for (d, pol) in s.preds.iter().filter_map(|p| refs.get(p)).flatten() {
+                match pol {
+                    Polarity::Positive => positive.insert(d.clone()),
+                    Polarity::Negative => negative.insert(d.clone()),
+                };
             }
             StratumReads {
                 positive: positive.into_iter().collect(),
                 negative: negative.into_iter().collect(),
             }
+        })
+        .collect()
+}
+
+/// Compute the condensation's dependency edges from the read sets:
+/// `deps[i]` lists the strata of the names stratum `i` reads (sorted,
+/// deduplicated, self-edges omitted). Because [`stratify`] emits strata
+/// dependencies-first, every entry of `deps[i]` is `< i` — the result is a
+/// DAG in topological order, which is exactly what a parallel scheduler
+/// needs: stratum `i` may start as soon as all of `deps[i]` have finished,
+/// and strata with disjoint ancestries may run concurrently.
+pub(crate) fn stratum_deps(reads: &[StratumReads], strata: &[Stratum]) -> Vec<Vec<usize>> {
+    let stratum_of: BTreeMap<&Name, usize> = strata
+        .iter()
+        .enumerate()
+        .flat_map(|(i, s)| s.preds.iter().map(move |p| (p, i)))
+        .collect();
+    reads
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let deps: BTreeSet<usize> =
+                r.all().filter_map(|d| stratum_of.get(d).copied()).filter(|&j| j != i).collect();
+            debug_assert!(deps.iter().all(|&j| j < i), "strata not in dependency order");
+            deps.into_iter().collect()
         })
         .collect()
 }
@@ -327,8 +271,9 @@ mod tests {
     fn strata_and_deps_of(src: &str) -> (Vec<Stratum>, Vec<Vec<usize>>) {
         let sp = specialize(&parse_program(src).unwrap()).unwrap();
         let (rules, _) = lower(&sp).unwrap();
-        let strata = stratify(&rules);
-        let deps = stratum_deps(&rules, &strata);
+        let refs = references(&rules);
+        let strata = condense(&refs);
+        let deps = stratum_deps(&stratum_read_sets(&refs, &strata), &strata);
         (strata, deps)
     }
 
@@ -476,8 +421,9 @@ mod tests {
         .unwrap())
         .unwrap();
         let (rules, _) = lower(&sp).unwrap();
-        let strata = stratify(&rules);
-        let reads = stratum_read_sets(&rules, &strata);
+        let refs = references(&rules);
+        let strata = condense(&refs);
+        let reads = stratum_read_sets(&refs, &strata);
         assert_eq!(reads.len(), strata.len());
         let of = |n: &str| {
             let i = strata

@@ -376,7 +376,8 @@ impl Expr {
         }
     }
 
-    /// Visit every sub-expression (pre-order).
+    /// Visit every sub-expression (pre-order). [`Expr::map_children`]
+    /// rebuilds the same children in the same order.
     pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
         match self {
@@ -422,6 +423,81 @@ impl Expr {
                 }
             }
         }
+    }
+
+    /// Rebuild this node with every child expression replaced by
+    /// `f(child)`, called on the children [`Expr::walk`] visits and in the
+    /// same order: operands left to right, a binder's `x in D` domains and
+    /// then its body, an application's functor and then each [`Arg`].
+    /// Binding names, argument annotations, styles and operators are kept;
+    /// leaves are cloned.
+    ///
+    /// This and `walk` are the one definition of the tree's shape: a
+    /// rewriter matches only the nodes it treats specially and hands every
+    /// other node here, so a new node kind is taught to every rewriter at
+    /// once.
+    pub fn map_children<E>(
+        &self,
+        f: &mut impl FnMut(&Expr) -> Result<Expr, E>,
+    ) -> Result<Expr, E> {
+        fn bx<E>(
+            e: &Expr,
+            f: &mut impl FnMut(&Expr) -> Result<Expr, E>,
+        ) -> Result<Box<Expr>, E> {
+            f(e).map(Box::new)
+        }
+        fn bindings<E>(
+            bs: &[Binding],
+            f: &mut impl FnMut(&Expr) -> Result<Expr, E>,
+        ) -> Result<Vec<Binding>, E> {
+            bs.iter()
+                .map(|b| match b {
+                    Binding::In(v, d) => Ok(Binding::In(v.clone(), f(d)?)),
+                    other => Ok(other.clone()),
+                })
+                .collect()
+        }
+        Ok(match self {
+            Expr::Lit(_)
+            | Expr::Ident(_)
+            | Expr::TupleVar(_)
+            | Expr::Wildcard
+            | Expr::TupleWildcard
+            | Expr::Param(_) => self.clone(),
+            Expr::Product(es) => Expr::Product(es.iter().map(&mut *f).collect::<Result<_, E>>()?),
+            Expr::Union(es) => Expr::Union(es.iter().map(&mut *f).collect::<Result<_, E>>()?),
+            Expr::Where(a, b) => Expr::Where(bx(a, f)?, bx(b, f)?),
+            Expr::And(a, b) => Expr::And(bx(a, f)?, bx(b, f)?),
+            Expr::Or(a, b) => Expr::Or(bx(a, f)?, bx(b, f)?),
+            Expr::Implies(a, b) => Expr::Implies(bx(a, f)?, bx(b, f)?),
+            Expr::Iff(a, b) => Expr::Iff(bx(a, f)?, bx(b, f)?),
+            Expr::Xor(a, b) => Expr::Xor(bx(a, f)?, bx(b, f)?),
+            Expr::Cmp(op, a, b) => Expr::Cmp(*op, bx(a, f)?, bx(b, f)?),
+            Expr::Arith(op, a, b) => Expr::Arith(*op, bx(a, f)?, bx(b, f)?),
+            Expr::DotJoin(a, b) => Expr::DotJoin(bx(a, f)?, bx(b, f)?),
+            Expr::LeftOverride(a, b) => Expr::LeftOverride(bx(a, f)?, bx(b, f)?),
+            Expr::Not(a) => Expr::Not(bx(a, f)?),
+            Expr::Neg(a) => Expr::Neg(bx(a, f)?),
+            Expr::Abstraction { bindings: bs, style, body } => Expr::Abstraction {
+                bindings: bindings(bs, f)?,
+                style: *style,
+                body: bx(body, f)?,
+            },
+            Expr::Exists { bindings: bs, body } => {
+                Expr::Exists { bindings: bindings(bs, f)?, body: bx(body, f)? }
+            }
+            Expr::Forall { bindings: bs, body } => {
+                Expr::Forall { bindings: bindings(bs, f)?, body: bx(body, f)? }
+            }
+            Expr::App { func, args, style } => Expr::App {
+                func: bx(func, f)?,
+                args: args
+                    .iter()
+                    .map(|a| Ok(Arg { expr: f(&a.expr)?, ann: a.ann }))
+                    .collect::<Result<_, E>>()?,
+                style: *style,
+            },
+        })
     }
 }
 

@@ -314,6 +314,11 @@ fn shape(
     let ((a, ka), (b, kb), (c, kc)) = (pick(rng, |_| true), pick(rng, |_| true), pick(rng, |_| true));
     let int_if = |ks: &[Kind]| if ks.iter().all(|k| *k == Kind::Int) { Kind::Int } else { Kind::Other };
     let (body, kind) = match which {
+        // The `or` branches bind different variables (`z`, `y`) ahead of
+        // a conjunct that needs what either one left free.
+        0 if rng.gen_bool(0.5) => {
+            (format!("exists((z) | ({a}(x, z) or {b}(x, y)) and {c}(z, y))"), int_if(&[ka, kb, kc]))
+        }
         0 => (format!("{a}(x, y)\ndef {p}(x, y) : {b}(x, y)"), if ka == kb { ka } else { Kind::Other }),
         1 => {
             let k = if ka == Kind::Int { kb } else { Kind::Other };
